@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 from .engine import (
@@ -30,6 +30,7 @@ from .engine import (
 )
 from .formula import FormulaStore, ParseError, atoms_of, parse, render, size
 from .gap import (
+    CLOSING_RULES,
     DemoVariant,
     PreconditionViolated,
     demo_system,
@@ -57,7 +58,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    # Streams the same bytes as print(json.dumps(doc, indent=2)) without
+    # holding the whole document as one string.
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _stats_lines(stats: Stats) -> str:
@@ -66,15 +70,6 @@ def _stats_lines(stats: Stats) -> str:
         f"{state} after {stats.generations_run} generation(s); "
         f"{stats.rule_applications} rule application(s), {stats.dedup_hits} dedup hit(s)"
     )
-
-
-def _stats_doc(stats: Stats) -> dict:
-    return {
-        "generations_run": stats.generations_run,
-        "fixed_point_reached": stats.fixed_point_reached,
-        "rule_applications": stats.rule_applications,
-        "dedup_hits": stats.dedup_hits,
-    }
 
 
 def _load(args) -> AxiomaticSystem:
@@ -169,7 +164,7 @@ def _enumeration_doc(result: EnumerationResult, store: FormulaStore) -> dict:
             }
             for i in range(len(result.theorems))
         ],
-        "stats": _stats_doc(result.stats),
+        "stats": asdict(result.stats),
     }
 
 
@@ -308,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--close-with",
         dest="close_with",
-        choices=("LBI_RULE", "LEM_AXIOM", "CASE_SPLIT"),
+        choices=sorted(r.value for r in CLOSING_RULES),
     )
     p.set_defaults(func=cmd_gap)
 

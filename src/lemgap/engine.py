@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 import json
-import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .formula import (
+    ATOM_NAME,
     And,
     FormulaId,
     FormulaStore,
@@ -72,8 +72,6 @@ RULE_ARITY = {
     RuleKind.CASE_SPLIT: 2,
 }
 
-_ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
-
 
 class ConfigError(Exception):
     """Invalid system document. `field` names the offending entry."""
@@ -127,30 +125,24 @@ class AxiomaticSystem:
     def __post_init__(self) -> None:
         declared = set(self.atoms)
         for i, name in enumerate(self.atoms):
-            if not _ATOM_NAME.match(name):
+            if not ATOM_NAME.match(name):
                 raise ConfigError(f"atoms[{i}]", f"invalid atom name {name!r}")
         if len(declared) != len(self.atoms):
             raise ConfigError("atoms", "duplicate atom names")
-        for i, ax in enumerate(self.axioms):
-            for name in atoms_of(ax, self.store):
-                if name not in declared:
-                    raise ConfigError(f"axioms[{i}]", f"uses undeclared atom {name!r}")
-            if size(ax, self.store) > self.bounds.max_formula_size:
-                raise AxiomTooLarge(
-                    f"axioms[{i}]",
-                    f"size {size(ax, self.store)} exceeds max_formula_size "
-                    f"{self.bounds.max_formula_size}",
-                )
-        for i, sf in enumerate(self.side_formulas):
-            for name in atoms_of(sf, self.store):
-                if name not in declared:
-                    raise ConfigError(f"side_formulas[{i}]", f"uses undeclared atom {name!r}")
-            if size(sf, self.store) > self.bounds.max_formula_size:
-                raise ConfigError(
-                    f"side_formulas[{i}]",
-                    f"size {size(sf, self.store)} exceeds max_formula_size "
-                    f"{self.bounds.max_formula_size}",
-                )
+        for field_name, formulas, too_large in (
+            ("axioms", self.axioms, AxiomTooLarge),
+            ("side_formulas", self.side_formulas, ConfigError),
+        ):
+            for i, f in enumerate(formulas):
+                for name in atoms_of(f, self.store):
+                    if name not in declared:
+                        raise ConfigError(f"{field_name}[{i}]", f"uses undeclared atom {name!r}")
+                if size(f, self.store) > self.bounds.max_formula_size:
+                    raise too_large(
+                        f"{field_name}[{i}]",
+                        f"size {size(f, self.store)} exceeds max_formula_size "
+                        f"{self.bounds.max_formula_size}",
+                    )
 
     def universe(self) -> tuple[FormulaId, ...]:
         """Side-formula universe in canonical (size, text) order."""
@@ -386,11 +378,19 @@ def apply_rule(
 # ---------------------------------------------------------------------------
 
 class _Saturation:
+    """One saturation run. Every id it handles was issued by `system.store`
+    (checked when the system was built), so the loops index the store's
+    `sizes` and `nodes` arrays directly."""
+
     def __init__(self, system: AxiomaticSystem):
         self.system = system
         self.store = system.store
+        self.sizes = system.store.sizes
+        self.nodes = system.store.nodes
         self.max_size = system.bounds.max_formula_size
         self.universe = system.universe()
+        # Non-decreasing, because the universe is sorted by (size, text).
+        self.universe_sizes = [self.sizes[sigma.index] for sigma in self.universe]
         self.theorems: list[FormulaId] = []
         self.steps: list[ProofStep] = []
         self.generations: list[int] = []
@@ -405,10 +405,10 @@ class _Saturation:
         self.candidates: dict[FormulaId, ProofStep] = {}
 
     def sort_key(self, f: FormulaId) -> tuple[int, str]:
-        return (size(f, self.store), render(f, self.store))
+        return (self.sizes[f.index], render(f, self.store))
 
     def offer(self, conclusion: FormulaId, step: ProofStep) -> None:
-        if size(conclusion, self.store) > self.max_size:
+        if self.sizes[conclusion.index] > self.max_size:
             return
         if conclusion in self.position or conclusion in self.candidates:
             self.dedup_hits += 1
@@ -427,8 +427,8 @@ class _Saturation:
             self.steps.append(self.candidates[f])
             self.generations.append(gen)
             self.position[f] = index
-            self.by_size.setdefault(size(f, self.store), []).append(index)
-            node = self.store.node(f)
+            self.by_size.setdefault(self.sizes[f.index], []).append(index)
+            node = self.nodes[f.index]
             if isinstance(node, Implies):
                 self.impl_by_antecedent.setdefault(node.antecedent, []).append(index)
                 self.impl_by_consequent.setdefault(node.consequent, []).append(index)
@@ -464,7 +464,7 @@ class _Saturation:
     def run_mp(self, delta: range) -> None:
         pairs = set()
         for j in delta:
-            node = self.store.node(self.theorems[j])
+            node = self.nodes[self.theorems[j].index]
             if isinstance(node, Implies):
                 i = self.position.get(node.antecedent)
                 if i is not None:
@@ -474,13 +474,13 @@ class _Saturation:
                 pairs.add((i, j))
         for i, j in sorted(pairs):
             self.applications += 1
-            conclusion = self.store.node(self.theorems[j]).consequent
+            conclusion = self.nodes[self.theorems[j].index].consequent
             self.offer(conclusion, ProofStep(conclusion, RuleKind.MP, (i, j)))
 
     def run_and_intro(self, delta: range) -> None:
         pairs = set()
         for i in delta:
-            budget = self.max_size - 1 - size(self.theorems[i], self.store)
+            budget = self.max_size - 1 - self.sizes[self.theorems[i].index]
             for other_size, bucket in self.by_size.items():
                 if other_size > budget:
                     continue
@@ -494,7 +494,7 @@ class _Saturation:
 
     def run_and_elim(self, delta: range) -> None:
         for i in delta:
-            node = self.store.node(self.theorems[i])
+            node = self.nodes[self.theorems[i].index]
             if not isinstance(node, And):
                 continue
             if RuleKind.AND_ELIM_L in self.system.rules:
@@ -508,10 +508,10 @@ class _Saturation:
         for i in delta:
             self.applications += 1
             phi = self.theorems[i]
-            budget = self.max_size - 1 - size(phi, self.store)
-            for sigma in self.universe:
-                if size(sigma, self.store) > budget:
-                    continue
+            budget = self.max_size - 1 - self.sizes[phi.index]
+            for sigma, sigma_size in zip(self.universe, self.universe_sizes):
+                if sigma_size > budget:
+                    break
                 left = self.store.disj(phi, sigma)
                 self.offer(left, ProofStep(left, RuleKind.OR_INTRO, (i,)))
                 right = self.store.disj(sigma, phi)
@@ -529,25 +529,25 @@ class _Saturation:
     def run_case_split(self, delta: range) -> None:
         pairs = set()
         for k in delta:
-            node = self.store.node(self.theorems[k])
+            node = self.nodes[self.theorems[k].index]
             if not isinstance(node, Implies):
                 continue
             partners = self.impl_by_consequent.get(node.consequent, ())
             # New theorem as the x -> y premise.
             for j in partners:
-                ant = self.store.node(self.theorems[j]).antecedent
-                ant_node = self.store.node(ant)
+                ant = self.nodes[self.theorems[j].index].antecedent
+                ant_node = self.nodes[ant.index]
                 if isinstance(ant_node, Not) and ant_node.child == node.antecedent:
                     pairs.add((k, j))
             # New theorem as the ~x -> y premise.
-            ant_node = self.store.node(node.antecedent)
+            ant_node = self.nodes[node.antecedent.index]
             if isinstance(ant_node, Not):
                 for j in partners:
-                    if self.store.node(self.theorems[j]).antecedent == ant_node.child:
+                    if self.nodes[self.theorems[j].index].antecedent == ant_node.child:
                         pairs.add((j, k))
         for i, j in sorted(pairs):
             self.applications += 1
-            conclusion = self.store.node(self.theorems[i]).consequent
+            conclusion = self.nodes[self.theorems[i].index].consequent
             self.offer(conclusion, ProofStep(conclusion, RuleKind.CASE_SPLIT, (i, j)))
 
     def run(self) -> EnumerationResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Atom",
@@ -36,9 +36,12 @@ ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 _store_tags = itertools.count(1)
 
 
-@dataclass(frozen=True, slots=True)
-class FormulaId:
-    """Opaque handle into a FormulaStore. Equal iff same store and structure."""
+class FormulaId(NamedTuple):
+    """Opaque handle into a FormulaStore. Equal iff same store and structure.
+
+    As a NamedTuple it hashes and compares in C, and it also compares equal
+    to a plain `(index, store_tag)` tuple.
+    """
 
     index: int
     store_tag: int
@@ -79,7 +82,9 @@ class FormulaStore:
     """Append-only interning arena. Ids never change meaning once issued.
 
     Mutated only while interning; afterwards it is safe to share read-only.
-    Mixing ids from another store is caught by assertions in debug runs.
+    `node`, `size` and the constructors assert that an id is this store's.
+    `AxiomaticSystem` checks its formulas once, on construction, so
+    saturation indexes `sizes` and `nodes` directly.
     """
 
     def __init__(self) -> None:
@@ -94,6 +99,16 @@ class FormulaStore:
 
     def __contains__(self, f: FormulaId) -> bool:
         return f.store_tag == self._tag and 0 <= f.index < len(self._nodes)
+
+    @property
+    def sizes(self) -> Sequence[int]:
+        """Live, index-aligned formula sizes; read it, never mutate it."""
+        return self._sizes
+
+    @property
+    def nodes(self) -> Sequence[Formula]:
+        """Live, index-aligned nodes; read it, never mutate it."""
+        return self._nodes
 
     def node(self, f: FormulaId) -> Formula:
         assert f.store_tag == self._tag, "FormulaId belongs to a different store"

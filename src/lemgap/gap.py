@@ -11,14 +11,13 @@ to show the difference disappear.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .engine import (
     AxiomaticSystem,
     EnumerationResult,
     RuleKind,
-    Stats,
     saturate,
 )
 from .formula import (
@@ -50,13 +49,10 @@ __all__ = [
 ]
 
 # Rules that discharge a case split without settling the pivot. A base
-# enumeration for a gap report must not contain any of them.
-CASE_SPLIT_STYLE_RULES = frozenset(
-    {RuleKind.LBI_RULE, RuleKind.CASE_SPLIT, RuleKind.LEM_AXIOM}
-)
-
-# Rules that may be added for the closure re-run.
+# enumeration for a gap report must not contain any of them, and the
+# closure re-run adds exactly one of them.
 CLOSING_RULES = frozenset({RuleKind.LBI_RULE, RuleKind.LEM_AXIOM, RuleKind.CASE_SPLIT})
+CASE_SPLIT_STYLE_RULES = CLOSING_RULES
 
 
 class PreconditionViolated(Exception):
@@ -271,19 +267,10 @@ def demo_family(n: int) -> AxiomaticSystem:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _stats_document(stats: Stats) -> dict:
-    return {
-        "generations_run": stats.generations_run,
-        "fixed_point_reached": stats.fixed_point_reached,
-        "rule_applications": stats.rule_applications,
-        "dedup_hits": stats.dedup_hits,
-    }
-
-
 def _run_document(result: EnumerationResult, store: FormulaStore) -> dict:
     return {
         "theorems": [render(f, store) for f in result.theorems],
-        "stats": _stats_document(result.stats),
+        "stats": asdict(result.stats),
     }
 
 

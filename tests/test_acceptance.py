@@ -9,13 +9,16 @@ systems so the equivalence and soundness sweeps see identical inputs.
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import lemgap
 from lemgap.engine import (
     RuleKind,
     check_proof,
@@ -144,11 +147,17 @@ def test_parser_fuzz_round_trip():
 
 
 def test_byte_determinism_across_processes(tmp_path):
+    # The subprocess runs in tmp_path, so a relative PYTHONPATH would not
+    # resolve there; point it at the directory holding the package.
+    package_root = str(Path(lemgap.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": package_root}
+
     def cli(*argv):
         proc = subprocess.run(
             [sys.executable, "-m", "lemgap", *argv],
             capture_output=True,
             cwd=str(tmp_path),
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -347,3 +348,41 @@ def test_repeated_runs_identical_same_process(capsys, eq1_file):
     second = run(capsys, "gap", "--format", "machine", "--system", eq1_file,
                  "--close-with", "LBI_RULE")
     assert first == second
+
+
+# --- golden output -------------------------------------------------------------
+
+# S7: the S9 benchmark system at max_formula_size 7 (6,300 theorems). The
+# digests pin the exact machine output, so any drift in theorem order,
+# proof indices, stats or JSON layout shows up across commits, not only
+# between two runs of one commit.
+S7_SYSTEM = {
+    "atoms": ["p", "q", "r", "s"],
+    "axioms": ["p", "q -> r", "(p | ~p) -> q", "~s -> r"],
+    "rules": ["MP", "AND_INTRO", "AND_ELIM_L", "AND_ELIM_R", "OR_INTRO"],
+    "bounds": {"max_formula_size": 7},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("enumerate",),
+         "1a7740ca5cada8d916fe479378b2f6a5bba4acfee523b5c7aa10b48ee03ee353"),
+        (("gap", "--close-with", "LBI_RULE"),
+         "7fb3f5b710c77cc57887fecb3e86bbd3cb6c0600b537af17e314c663197b954e"),
+        (("gap", "--close-with", "LEM_AXIOM"),
+         "2d950c003de2150eb09151b550ca2cb25c22d42c23866714b873e461b10d5fb9"),
+        (("gap", "--close-with", "CASE_SPLIT"),
+         "d1afc8d49daea2a9a0932ee2cb13711e6492e3932d8117a1d5d067e2cbb456ec"),
+        (("prove", "--goal", "r"),
+         "eae8ccf2a3f478d2c52f20158219dacde92fe1c8448962c01aec1857954deb38"),
+    ],
+    ids=["enumerate", "gap-lbi", "gap-lem", "gap-case-split", "prove"],
+)
+def test_s7_machine_output_is_byte_identical(capsys, tmp_path, argv, digest):
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps(S7_SYSTEM))
+    code, out, err = run(capsys, *argv, "--format", "machine", "--system", str(path))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -290,6 +290,18 @@ def test_saturate_matches_naive_closure_on_random_systems():
         assert set(result.theorems) == naive_closure(system), system_document(system)
 
 
+def test_saturate_matches_naive_closure_with_split_rules():
+    # Locks in the semi-naive CASE_SPLIT delta logic: both premise orders
+    # must be found whichever of the two implications arrives later.
+    rng = random.Random(2309)
+    split_rules = frozenset({RuleKind.LBI_RULE, RuleKind.CASE_SPLIT})
+    for _ in range(1000):
+        system = random_system(rng, extra_rules=split_rules)
+        result = saturate(system)
+        assert result.stats.fixed_point_reached is True
+        assert set(result.theorems) == naive_closure(system), system_document(system)
+
+
 def test_saturate_monotone_in_rules():
     rng = random.Random(99)
     pool = list(RuleKind)

@@ -224,6 +224,9 @@ def test_cross_store_id_rejected():
     f = store_a.atom("p")
     with pytest.raises(AssertionError):
         store_b.node(f)
+    # Same index, other store: a different id. Equal to its plain tuple.
+    assert store_b.atom("p") != f
+    assert f == (f.index, f.store_tag)
 
 
 def test_children_precede_parents():
