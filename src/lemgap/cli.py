@@ -3,7 +3,8 @@
 Commands: parse, classify, enumerate, prove, gap, demo. Results go to
 stdout (text or machine-readable JSON, `--format`); diagnostics go to
 stderr. Exit codes: 0 success, 1 usage/config error, 2 formula parse
-error, 3 goal not derived, 4 oracle atom limit exceeded.
+error (including a formula argument over MAX_FORMULA_BYTES, 16 KiB),
+3 goal not derived, 4 oracle atom limit exceeded.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .engine import (
     saturate,
     system_document,
 )
-from .formula import FormulaStore, ParseError, atoms_of, parse, render, size
+from .formula import FormulaId, FormulaStore, ParseError, atoms_of, parse, render, size
 from .gap import (
     CLOSING_RULES,
     DemoVariant,
@@ -44,6 +45,10 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_NOT_DERIVED = 3
 EXIT_ORACLE_LIMIT = 4
+
+# Longest formula argument, in UTF-8 bytes. Rendering caches the text of
+# every subformula, so memory grows with size times depth; this bounds it.
+MAX_FORMULA_BYTES = 16_384
 
 
 class UsageError(Exception):
@@ -62,6 +67,13 @@ def _emit(doc: dict) -> None:
     # holding the whole document as one string.
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
+
+
+def _parse_arg(text: str, store: FormulaStore) -> FormulaId:
+    """Parse a formula given on the command line, at most MAX_FORMULA_BYTES long."""
+    if len(text.encode("utf-8", "surrogatepass")) > MAX_FORMULA_BYTES:
+        raise ParseError(f"formula longer than {MAX_FORMULA_BYTES} bytes", MAX_FORMULA_BYTES)
+    return parse(text, store)
 
 
 def _stats_lines(stats: Stats) -> str:
@@ -97,7 +109,7 @@ def _step_line(i: int, step: ProofStep, store: FormulaStore, gen: Optional[int] 
 
 def cmd_parse(args) -> int:
     store = FormulaStore()
-    f = parse(args.formula, store)
+    f = _parse_arg(args.formula, store)
     if args.format == "machine":
         _emit(
             {
@@ -118,7 +130,7 @@ def cmd_classify(args) -> int:
         system = _load(args)
         store = system.store
         if args.entails is not None:
-            verdict = entails(system.axioms, parse(args.entails, store), store)
+            verdict = entails(system.axioms, _parse_arg(args.entails, store), store)
             if args.format == "machine":
                 _emit(
                     {
@@ -135,7 +147,7 @@ def cmd_classify(args) -> int:
                     )
                     print(f"countermodel: {pairs}")
         else:
-            answer = independent(system.axioms, parse(args.independent, store), store)
+            answer = independent(system.axioms, _parse_arg(args.independent, store), store)
             if args.format == "machine":
                 _emit({"independent": answer})
             else:
@@ -144,7 +156,7 @@ def cmd_classify(args) -> int:
     if args.formula is None:
         raise UsageError("a formula argument is required unless --entails/--independent is used")
     store = FormulaStore()
-    verdict = classify(parse(args.formula, store), store)
+    verdict = classify(_parse_arg(args.formula, store), store)
     if args.format == "machine":
         _emit({"verdict": verdict.value})
     else:
@@ -182,7 +194,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_prove(args) -> int:
     system = _load(args)
-    goal = parse(args.goal, system.store)
+    goal = _parse_arg(args.goal, system.store)
     result = saturate(system)
     try:
         proof = extract_proof(result, goal)

@@ -81,8 +81,15 @@ Formula = Atom | Not | And | Or | Implies
 class FormulaStore:
     """Append-only interning arena. Ids never change meaning once issued.
 
-    Mutated only while interning; afterwards it is safe to share read-only.
-    `node`, `size` and the constructors assert that an id is this store's.
+    Children always precede parents: a node is interned only after its
+    children, so every child index is below its parent's. This invariant
+    is load-bearing. `render`, the oracle's truth masks and the parser all
+    walk formulas in ascending index order or on an explicit stack instead
+    of recursing, so no formula is too deep for them.
+
+    The store is mutated by interning and by `render`, which fills an
+    index-aligned text cache; it is not thread-safe. `node`, `size`,
+    `render` and the constructors assert that an id is this store's.
     `AxiomaticSystem` checks its formulas once, on construction, so
     saturation indexes `sizes` and `nodes` directly.
     """
@@ -92,7 +99,7 @@ class FormulaStore:
         self._nodes: list[Formula] = []
         self._sizes: list[int] = []
         self._index: dict[Formula, FormulaId] = {}
-        self._render_cache: dict[int, tuple[str, int]] = {}
+        self._texts: list[str] = []  # render cache, a prefix of _nodes
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -157,25 +164,8 @@ def size(f: FormulaId, store: FormulaStore) -> int:
 
 def atoms_of(f: FormulaId, store: FormulaStore) -> tuple[str, ...]:
     """Sorted distinct atom names occurring in f."""
-    names: set[str] = set()
-    stack = [f]
-    seen: set[int] = set()
-    while stack:
-        g = stack.pop()
-        if g.index in seen:
-            continue
-        seen.add(g.index)
-        node = store.node(g)
-        match node:
-            case Atom(name):
-                names.add(name)
-            case Not(child):
-                stack.append(child)
-            case And(left, right) | Or(left, right):
-                stack.extend((left, right))
-            case Implies(antecedent, consequent):
-                stack.extend((antecedent, consequent))
-    return tuple(sorted(names))
+    closure = subformula_closure([f], store)
+    return tuple(sorted({n.name for n in map(store.node, closure) if isinstance(n, Atom)}))
 
 
 def subformula_closure(fs: Iterable[FormulaId], store: FormulaStore) -> frozenset[FormulaId]:
@@ -187,16 +177,11 @@ def subformula_closure(fs: Iterable[FormulaId], store: FormulaStore) -> frozense
         if g in out:
             continue
         out.add(g)
-        node = store.node(g)
-        match node:
-            case Atom(_):
-                pass
+        match store.node(g):
             case Not(child):
                 stack.append(child)
-            case And(left, right) | Or(left, right):
+            case And(left, right) | Or(left, right) | Implies(left, right):
                 stack.extend((left, right))
-            case Implies(antecedent, consequent):
-                stack.extend((antecedent, consequent))
     return frozenset(out)
 
 
@@ -248,105 +233,41 @@ _TOKEN_ALIASES = {
     "|": "|",
     "∨": "|",      # ∨
     "→": "->",     # →
+    "->": "->",
     "(": "(",
     ")": ")",
 }
 
-_ATOM_TOKEN = re.compile(r"[a-z][a-z0-9_]*")
-
-
-def _byte_offset(text: str, char_pos: int) -> int:
-    return len(text[:char_pos].encode("utf-8"))
+# Whitespace, then a connective, a parenthesis or an atom; the empty
+# alternative matches at the end of the text or at a stray character.
+_TOKEN = re.compile(r"\s*(" + "|".join(map(re.escape, _TOKEN_ALIASES)) + r"|[a-z][a-z0-9_]*|)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Produce (kind, lexeme, byte offset) triples, with a trailing 'end'."""
     tokens: list[tuple[str, str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text.startswith("->", i):
-            tokens.append(("->", "->", _byte_offset(text, i)))
-            i += 2
-            continue
-        if ch in _TOKEN_ALIASES:
-            tokens.append((_TOKEN_ALIASES[ch], ch, _byte_offset(text, i)))
-            i += 1
-            continue
-        m = _ATOM_TOKEN.match(text, i)
-        if m:
-            tokens.append(("atom", m.group(), _byte_offset(text, i)))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    tokens.append(("end", "", _byte_offset(text, n)))
+    i = offset = 0  # character and UTF-8 byte position
+    while True:
+        m = _TOKEN.match(text, i)
+        offset += len(text[i : m.start(1)].encode("utf-8"))  # skipped whitespace
+        if not (lexeme := m.group(1)):
+            break
+        tokens.append((_TOKEN_ALIASES.get(lexeme, "atom"), lexeme, offset))
+        offset += len(lexeme.encode("utf-8"))
+        i = m.end()
+    if m.end() < len(text):
+        raise ParseError(f"unexpected character {text[m.end()]!r}", offset)
+    tokens.append(("end", "", offset))
     return tokens
 
 
 _PRIMARY_EXPECTED = ("atom", "'('", "'~'")
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], store: FormulaStore):
-        self.tokens = tokens
-        self.pos = 0
-        self.store = store
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected: tuple[str, ...]) -> ParseError:
-        kind, lexeme, offset = self.peek()
-        what = "end of input" if kind == "end" else f"unexpected token {lexeme!r}"
-        return ParseError(what, offset, expected)
-
-    def implication(self) -> FormulaId:
-        left = self.disjunction()
-        if self.peek()[0] == "->":
-            self.take()
-            right = self.implication()
-            return self.store.impl(left, right)
-        return left
-
-    def disjunction(self) -> FormulaId:
-        left = self.conjunction()
-        while self.peek()[0] == "|":
-            self.take()
-            left = self.store.disj(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> FormulaId:
-        left = self.negation()
-        while self.peek()[0] == "&":
-            self.take()
-            left = self.store.conj(left, self.negation())
-        return left
-
-    def negation(self) -> FormulaId:
-        kind, lexeme, _ = self.peek()
-        if kind == "~":
-            self.take()
-            return self.store.neg(self.negation())
-        if kind == "atom":
-            self.take()
-            return self.store.atom(lexeme)
-        if kind == "(":
-            self.take()
-            inner = self.implication()
-            if self.peek()[0] != ")":
-                raise self.fail(("')'",))
-            self.take()
-            return inner
-        raise self.fail(_PRIMARY_EXPECTED)
+def _unexpected(token: tuple[str, str, int], expected: tuple[str, ...]) -> ParseError:
+    kind, lexeme, offset = token
+    what = "end of input" if kind == "end" else f"unexpected token {lexeme!r}"
+    return ParseError(what, offset, expected)
 
 
 def parse(text: str, store: FormulaStore) -> FormulaId:
@@ -355,66 +276,99 @@ def parse(text: str, store: FormulaStore) -> FormulaId:
     Grammar: precedence `~` > `&` > `|` > `->`; `&` and `|` associate left,
     `->` associates right; parentheses override. Unicode connectives are
     accepted as aliases. Raises ParseError on malformed input.
+
+    One loop over an explicit stack of pending `~` and `(` markers and
+    `&`, `|`, `->` left operands, so nesting depth is bounded by memory
+    only. Each node is interned as soon as its last operand is complete,
+    so children are interned before parents, left to right.
     """
-    parser = _Parser(_tokenize(text), store)
-    f = parser.implication()
-    if parser.peek()[0] != "end":
-        raise parser.fail(("'&'", "'|'", "'->'", "end of input"))
-    return f
+    tokens = _tokenize(text)
+    pending: list[tuple[str, Optional[FormulaId]]] = []
+    pos = 0
+    while True:
+        # An operand: prefix markers stack up until an atom arrives.
+        token = tokens[pos]
+        pos += 1
+        if token[0] in ("~", "("):
+            pending.append((token[0], None))
+            continue
+        if token[0] != "atom":
+            raise _unexpected(token, _PRIMARY_EXPECTED)
+        f = store.atom(token[1])
+        # Close every construct the operand completes, up to the next
+        # binary operator, which is then pushed with f as its left operand.
+        while True:
+            while pending and pending[-1][0] == "~":
+                pending.pop()
+                f = store.neg(f)
+            if pending and pending[-1][0] == "&":
+                f = store.conj(pending.pop()[1], f)
+            kind = tokens[pos][0]
+            if kind == "&":
+                break
+            if pending and pending[-1][0] == "|":
+                f = store.disj(pending.pop()[1], f)
+            if kind in ("|", "->"):
+                break
+            while pending and pending[-1][0] == "->":
+                f = store.impl(pending.pop()[1], f)
+            if not pending:
+                if kind != "end":
+                    raise _unexpected(tokens[pos], ("'&'", "'|'", "'->'", "end of input"))
+                return f
+            if kind != ")":  # the top of the stack is now a "(" marker
+                raise _unexpected(tokens[pos], ("')'",))
+            pending.pop()
+            pos += 1
+        pending.append((kind, f))
+        pos += 1
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
 
-# Binding strength used by the canonical renderer. A child is
+# Binding strength used by the canonical renderer, by node type. A child is
 # parenthesized when its own level is below the level its slot demands.
-_LEVEL_IMPLIES = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_UNARY = 4
+_LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 1, 2, 3, 4
+_LEVELS = {Atom: _LEVEL_UNARY, Not: _LEVEL_UNARY, And: _LEVEL_AND, Or: _LEVEL_OR,
+           Implies: _LEVEL_IMPLIES}
+# Infix text and the levels the left and right slots demand. The
+# antecedent slot demands conjunction level, so or- and
+# implication-antecedents are parenthesized: `(p | ~p) -> q`.
+_INFIX = {
+    And: (" & ", _LEVEL_AND, _LEVEL_UNARY),
+    Or: (" | ", _LEVEL_OR, _LEVEL_AND),
+    Implies: (" -> ", _LEVEL_AND, _LEVEL_IMPLIES),
+}
 
 
-def _rendered(f: FormulaId, store: FormulaStore) -> tuple[str, int]:
-    cached = store._render_cache.get(f.index)
-    if cached is not None:
-        return cached
-    node = store.node(f)
-    match node:
-        case Atom(name):
-            out = (name, _LEVEL_UNARY)
-        case Not(child):
-            out = ("~" + _bracketed(child, _LEVEL_UNARY, store), _LEVEL_UNARY)
-        case And(left, right):
-            out = (
-                _bracketed(left, _LEVEL_AND, store) + " & " + _bracketed(right, _LEVEL_UNARY, store),
-                _LEVEL_AND,
-            )
-        case Or(left, right):
-            out = (
-                _bracketed(left, _LEVEL_OR, store) + " | " + _bracketed(right, _LEVEL_AND, store),
-                _LEVEL_OR,
-            )
-        case Implies(antecedent, consequent):
-            # The antecedent slot demands conjunction level, so or- and
-            # implication-antecedents are parenthesized: `(p | ~p) -> q`.
-            out = (
-                _bracketed(antecedent, _LEVEL_AND, store)
-                + " -> "
-                + _bracketed(consequent, _LEVEL_IMPLIES, store),
-                _LEVEL_IMPLIES,
-            )
-    store._render_cache[f.index] = out
-    return out
-
-
-def _bracketed(f: FormulaId, required: int, store: FormulaStore) -> str:
-    text, level = _rendered(f, store)
-    if level < required:
+def _slot(child: FormulaId, required: int, texts: list[str], nodes: list[Formula]) -> str:
+    text = texts[child.index]
+    if _LEVELS[type(nodes[child.index])] < required:
         return "(" + text + ")"
     return text
 
 
 def render(f: FormulaId, store: FormulaStore) -> str:
-    """Canonical ASCII text. parse(render(f)) always re-interns to f."""
-    return _rendered(f, store)[0]
+    """Canonical ASCII text. parse(render(f)) always re-interns to f.
+
+    Extends the store's text cache in index order up to f, so each node
+    only joins the cached texts of its children, which precede it.
+    """
+    assert f.store_tag == store._tag, "FormulaId belongs to a different store"
+    texts = store._texts
+    if f.index >= len(texts):
+        nodes = store._nodes
+        for node in nodes[len(texts) : f.index + 1]:
+            match node:
+                case Atom(name):
+                    text = name
+                case Not(child):
+                    text = "~" + _slot(child, _LEVEL_UNARY, texts, nodes)
+                case And(left, right) | Or(left, right) | Implies(left, right):
+                    infix, left_level, right_level = _INFIX[type(node)]
+                    left_text = _slot(left, left_level, texts, nodes)
+                    text = left_text + infix + _slot(right, right_level, texts, nodes)
+            texts.append(text)
+    return texts[f.index]

@@ -1,16 +1,21 @@
 """Classical truth-table semantics: the ground truth the engine is judged by.
 
 Everything here is exhaustive over assignments (bitmask evaluation, one bit
-per assignment), deterministic, and capped at ATOM_LIMIT atoms. All
-operations are pure and safe to call concurrently.
+per assignment), deterministic, and capped at ATOM_LIMIT atoms. Truth
+masks are computed in one ascending pass over store indices, children
+before parents, so formula depth is not limited by recursion.
+
+The store is not read-only here: `independent` interns `~x`. These calls
+are not thread-safe; give each thread its own store.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .formula import And, Atom, FormulaId, FormulaStore, Implies, Not, Or, atoms_of
+from .formula import And, Atom, FormulaId, FormulaStore, Implies, Not, Or
+from .formula import atoms_of, subformula_closure
 
 __all__ = [
     "ATOM_LIMIT",
@@ -58,25 +63,48 @@ class Entailment(NamedTuple):
 
 
 def evaluate(f: FormulaId, assignment: Assignment, store: FormulaStore) -> bool:
-    """Truth value of f under a total assignment; `->` is material."""
-    node = store.node(f)
-    match node:
-        case Atom(name):
-            try:
-                return assignment[name]
-            except KeyError:
-                raise MissingAtom(name) from None
-        case Not(child):
-            return not evaluate(child, assignment, store)
-        case And(left, right):
-            return evaluate(left, assignment, store) and evaluate(right, assignment, store)
-        case Or(left, right):
-            return evaluate(left, assignment, store) or evaluate(right, assignment, store)
-        case Implies(antecedent, consequent):
-            return (not evaluate(antecedent, assignment, store)) or evaluate(
-                consequent, assignment, store
-            )
-    raise AssertionError(f"unreachable node {node!r}")
+    """Truth value of f under a total assignment; `->` is material.
+
+    The one-row truth table: every atom of f must be assigned, even where
+    a connective would short-circuit past it.
+    """
+
+    def atom_value(name: str) -> int:
+        try:
+            return int(bool(assignment[name]))
+        except KeyError:
+            raise MissingAtom(name) from None
+
+    return _masks([f], atom_value, 1, store)[f.index] == 1
+
+
+def _masks(
+    formulas: Iterable[FormulaId],
+    atom_mask: Callable[[str], int],
+    full: int,
+    store: FormulaStore,
+) -> dict[int, int]:
+    """Truth mask of every subformula of `formulas`, keyed by store index.
+
+    Bit j of a mask is the formula's value in assignment j; `full` has
+    every assignment's bit set. Walks the subformulas in ascending index
+    order, so both children of a node are done before the node.
+    """
+    nodes = store.nodes
+    masks: dict[int, int] = {}
+    for g in sorted(subformula_closure(formulas, store)):
+        match nodes[g.index]:
+            case Atom(name):
+                masks[g.index] = atom_mask(name)
+            case Not(child):
+                masks[g.index] = full ^ masks[child.index]
+            case And(left, right):
+                masks[g.index] = masks[left.index] & masks[right.index]
+            case Or(left, right):
+                masks[g.index] = masks[left.index] | masks[right.index]
+            case Implies(antecedent, consequent):
+                masks[g.index] = (full ^ masks[antecedent.index]) | masks[consequent.index]
+    return masks
 
 
 def _atom_mask(position: int, n_atoms: int) -> int:
@@ -92,57 +120,26 @@ def _atom_mask(position: int, n_atoms: int) -> int:
     return mask
 
 
-def _truth_mask(
-    f: FormulaId,
-    positions: dict[str, int],
-    n_atoms: int,
-    store: FormulaStore,
-    memo: dict[int, int],
-) -> int:
-    cached = memo.get(f.index)
-    if cached is not None:
-        return cached
-    full = (1 << (1 << n_atoms)) - 1
-    node = store.node(f)
-    match node:
-        case Atom(name):
-            out = _atom_mask(positions[name], n_atoms)
-        case Not(child):
-            out = full ^ _truth_mask(child, positions, n_atoms, store, memo)
-        case And(left, right):
-            out = _truth_mask(left, positions, n_atoms, store, memo) & _truth_mask(
-                right, positions, n_atoms, store, memo
-            )
-        case Or(left, right):
-            out = _truth_mask(left, positions, n_atoms, store, memo) | _truth_mask(
-                right, positions, n_atoms, store, memo
-            )
-        case Implies(antecedent, consequent):
-            out = (full ^ _truth_mask(antecedent, positions, n_atoms, store, memo)) | _truth_mask(
-                consequent, positions, n_atoms, store, memo
-            )
-    memo[f.index] = out
-    return out
-
-
-def _atom_positions(formulas: Iterable[FormulaId], store: FormulaStore) -> dict[str, int]:
-    names: set[str] = set()
-    for f in formulas:
-        names.update(atoms_of(f, store))
+def _truth_table(
+    formulas: tuple[FormulaId, ...], store: FormulaStore
+) -> tuple[dict[str, int], int, dict[int, int]]:
+    """Atom positions, the all-assignments mask and the subformula masks."""
+    names = sorted({name for f in formulas for name in atoms_of(f, store)})
     if len(names) > ATOM_LIMIT:
         raise TooManyAtoms(len(names))
-    return {name: i for i, name in enumerate(sorted(names))}
+    positions = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    full = (1 << (1 << n)) - 1
+    masks = _masks(formulas, lambda name: _atom_mask(positions[name], n), full, store)
+    return positions, full, masks
 
 
 def classify(f: FormulaId, store: FormulaStore) -> Verdict:
     """Tautology, Contradiction, or Contingent, by exhausting assignments."""
-    positions = _atom_positions([f], store)
-    n = len(positions)
-    full = (1 << (1 << n)) - 1
-    mask = _truth_mask(f, positions, n, store, {})
-    if mask == full:
+    _, full, masks = _truth_table((f,), store)
+    if masks[f.index] == full:
         return Verdict.TAUTOLOGY
-    if mask == 0:
+    if masks[f.index] == 0:
         return Verdict.CONTRADICTION
     return Verdict.CONTINGENT
 
@@ -155,14 +152,11 @@ def entails(axioms: Iterable[FormulaId], f: FormulaId, store: FormulaStore) -> E
     unsatisfiable axiom set entails everything.
     """
     axioms = tuple(axioms)
-    positions = _atom_positions((*axioms, f), store)
-    n = len(positions)
-    full = (1 << (1 << n)) - 1
-    memo: dict[int, int] = {}
+    positions, full, masks = _truth_table((*axioms, f), store)
     models = full
     for ax in axioms:
-        models &= _truth_mask(ax, positions, n, store, memo)
-    violations = models & (full ^ _truth_mask(f, positions, n, store, memo))
+        models &= masks[ax.index]
+    violations = models & (full ^ masks[f.index])
     if violations == 0:
         return Entailment(True, None)
     j = (violations & -violations).bit_length() - 1

@@ -137,6 +137,12 @@ def test_parse_error_offset_is_bytes():
     with pytest.raises(ParseError) as err:
         parse("¬p ¬", store)
     assert err.value.offset == 4
+    # Multi-byte whitespace counts in bytes too: U+3000 is 3 bytes and
+    # U+00A0 is 2, so the stray ')' starts at byte 1 + 3 + 1 + 2 = 7.
+    with pytest.raises(ParseError) as err:
+        parse("p\u3000&\u00a0)", store)
+    assert err.value.offset == 7
+    assert err.value.expected == ("atom", "'('", "'~'")
 
 
 def test_atom_name_validation():
@@ -222,8 +228,9 @@ def test_cross_store_id_rejected():
     store_a = FormulaStore()
     store_b = FormulaStore()
     f = store_a.atom("p")
-    with pytest.raises(AssertionError):
-        store_b.node(f)
+    for reject in (store_b.node, lambda g: render(g, store_b)):
+        with pytest.raises(AssertionError):
+            reject(f)
     # Same index, other store: a different id. Equal to its plain tuple.
     assert store_b.atom("p") != f
     assert f == (f.index, f.store_tag)
