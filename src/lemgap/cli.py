@@ -2,9 +2,10 @@
 
 Commands: parse, classify, enumerate, prove, gap, demo. Results go to
 stdout (text or machine-readable JSON, `--format`); diagnostics go to
-stderr. Exit codes: 0 success, 1 usage/config error, 2 formula parse
-error (including a formula argument over MAX_FORMULA_BYTES, 16 KiB),
-3 goal not derived, 4 oracle atom limit exceeded.
+stderr. Exit codes: 0 success, 1 usage/config error (including a
+system file over MAX_SYSTEM_BYTES, 1 MiB, or not valid UTF-8), 2 formula
+parse error (including a formula argument over MAX_FORMULA_BYTES,
+16 KiB), 3 goal not derived, 4 oracle atom limit exceeded.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ EXIT_ORACLE_LIMIT = 4
 # Longest formula argument, in UTF-8 bytes. Rendering caches the text of
 # every subformula, so memory grows with size times depth; this bounds it.
 MAX_FORMULA_BYTES = 16_384
+# Largest system file, in bytes; bounds what loading a system can parse.
+MAX_SYSTEM_BYTES = 1 << 20
 
 
 class UsageError(Exception):
@@ -87,8 +90,15 @@ def _stats_lines(stats: Stats) -> str:
 def _load(args) -> AxiomaticSystem:
     if not args.system:
         raise UsageError("--system FILE is required for this command")
-    with open(args.system, "r", encoding="utf-8") as handle:
-        system = load_system(handle.read())
+    with open(args.system, "rb") as handle:
+        data = handle.read(MAX_SYSTEM_BYTES + 1)
+    if len(data) > MAX_SYSTEM_BYTES:
+        raise ConfigError("document", f"system file larger than {MAX_SYSTEM_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("document", f"system file is not valid UTF-8: {exc}") from None
+    system = load_system(text)
     bounds = system.bounds
     if args.max_size is not None:
         bounds = replace(bounds, max_formula_size=args.max_size)

@@ -9,7 +9,9 @@ fully deterministic discovery order.
 from __future__ import annotations
 
 import enum
+import gc
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -20,8 +22,10 @@ from .formula import (
     FormulaStore,
     Implies,
     Not,
+    Or,
     ParseError,
     atoms_of,
+    canonical_order,
     match_lbi_shape,
     parse,
     render,
@@ -147,9 +151,7 @@ class AxiomaticSystem:
     def universe(self) -> tuple[FormulaId, ...]:
         """Side-formula universe in canonical (size, text) order."""
         closure = subformula_closure((*self.axioms, *self.side_formulas), self.store)
-        return tuple(
-            sorted(closure, key=lambda f: (size(f, self.store), render(f, self.store)))
-        )
+        return tuple(canonical_order(closure, self.store))
 
     def with_rules(self, rules: Iterable[RuleKind]) -> AxiomaticSystem:
         return replace(self, rules=frozenset(rules))
@@ -380,10 +382,11 @@ def apply_rule(
 class _Saturation:
     """One saturation run. Every id it handles was issued by `system.store`
     (checked when the system was built), so the loops index the store's
-    `sizes` and `nodes` arrays directly."""
+    `sizes` and `nodes` arrays directly and intern without the checks."""
 
     def __init__(self, system: AxiomaticSystem):
         self.system = system
+        self.rules = system.rules
         self.store = system.store
         self.sizes = system.store.sizes
         self.nodes = system.store.nodes
@@ -395,7 +398,13 @@ class _Saturation:
         self.steps: list[ProofStep] = []
         self.generations: list[int] = []
         self.position: dict[FormulaId, int] = {}
-        self.by_size: dict[int, list[int]] = {}
+        # upto[b]: ascending positions of the theorems of size at most b, for
+        # each AND_INTRO budget b below max_size - 1 (at least one list, so
+        # that upto[-1] is the largest budget even when max_size is 1). Kept
+        # only when AND_INTRO is enabled: nothing else reads it.
+        self.upto: list[list[int]] = []
+        if RuleKind.AND_INTRO in self.rules:
+            self.upto = [[] for _ in range(max(self.max_size - 1, 1))]
         self.impl_by_antecedent: dict[FormulaId, list[int]] = {}
         self.impl_by_consequent: dict[FormulaId, list[int]] = {}
         self.applications = 0
@@ -404,50 +413,50 @@ class _Saturation:
         # Per-round scratch: conclusion -> first ProofStep that derived it.
         self.candidates: dict[FormulaId, ProofStep] = {}
 
-    def sort_key(self, f: FormulaId) -> tuple[int, str]:
-        return (self.sizes[f.index], render(f, self.store))
-
-    def offer(self, conclusion: FormulaId, step: ProofStep) -> None:
+    def offer(
+        self, conclusion: FormulaId, rule: Optional[RuleKind], premises: tuple[int, ...]
+    ) -> None:
         if self.sizes[conclusion.index] > self.max_size:
             return
         if conclusion in self.position or conclusion in self.candidates:
             self.dedup_hits += 1
             return
-        self.candidates[conclusion] = step
+        self.candidates[conclusion] = ProofStep(conclusion, rule, premises)
 
-    def admit_generation(self, gen: int) -> int:
-        admitted = 0
-        ordered = sorted(self.candidates, key=self.sort_key)
+    def admit_generation(self, gen: int) -> None:
+        candidates = self.candidates
+        self.candidates = {}
+        ordered = canonical_order(candidates, self.store)
+        room = self.system.bounds.max_theorems - len(self.theorems)
+        if len(ordered) > room:
+            self.truncated = True
+            del ordered[room:]
+        sizes, upto = self.sizes, self.upto
         for f in ordered:
-            if len(self.theorems) >= self.system.bounds.max_theorems:
-                self.truncated = True
-                break
             index = len(self.theorems)
             self.theorems.append(f)
-            self.steps.append(self.candidates[f])
+            self.steps.append(candidates[f])
             self.generations.append(gen)
             self.position[f] = index
-            self.by_size.setdefault(self.sizes[f.index], []).append(index)
+            for budget in range(sizes[f.index], len(upto)):
+                upto[budget].append(index)
             node = self.nodes[f.index]
-            if isinstance(node, Implies):
+            if type(node) is Implies:
                 self.impl_by_antecedent.setdefault(node.antecedent, []).append(index)
                 self.impl_by_consequent.setdefault(node.consequent, []).append(index)
-            admitted += 1
-        self.candidates = {}
-        return admitted
 
     def seed(self) -> None:
         for ax in self.system.axioms:
-            self.offer(ax, ProofStep(ax, None, ()))
-        if RuleKind.LEM_AXIOM in self.system.rules:
+            self.offer(ax, None, ())
+        if RuleKind.LEM_AXIOM in self.rules:
             self.applications += 1
             for instance in apply_rule(RuleKind.LEM_AXIOM, (), self.store, self.universe):
-                self.offer(instance, ProofStep(instance, RuleKind.LEM_AXIOM, ()))
+                self.offer(instance, RuleKind.LEM_AXIOM, ())
         self.admit_generation(0)
 
     def round(self, delta: range) -> None:
         """Apply every enabled rule to every premise tuple touching `delta`."""
-        rules = self.system.rules
+        rules = self.rules
         if RuleKind.MP in rules:
             self.run_mp(delta)
         if RuleKind.AND_INTRO in rules:
@@ -474,48 +483,68 @@ class _Saturation:
                 pairs.add((i, j))
         for i, j in sorted(pairs):
             self.applications += 1
-            conclusion = self.nodes[self.theorems[j].index].consequent
-            self.offer(conclusion, ProofStep(conclusion, RuleKind.MP, (i, j)))
+            self.offer(self.nodes[self.theorems[j].index].consequent, RuleKind.MP, (i, j))
 
     def run_and_intro(self, delta: range) -> None:
-        pairs = set()
-        for i in delta:
-            budget = self.max_size - 1 - self.sizes[self.theorems[i].index]
-            for other_size, bucket in self.by_size.items():
-                if other_size > budget:
-                    continue
-                for j in bucket:
-                    pairs.add((i, j))
-                    pairs.add((j, i))
-        for i, j in sorted(pairs):
-            self.applications += 1
-            conclusion = self.store.conj(self.theorems[i], self.theorems[j])
-            self.offer(conclusion, ProofStep(conclusion, RuleKind.AND_INTRO, (i, j)))
+        # Every pair (i, j) with i or j in delta whose conjunction fits,
+        # size(i) + size(j) < max_size, in ascending order: an i before delta
+        # pairs with the delta theorems within its budget, an i in delta with
+        # every theorem within it. Each conjunction fits, so the size check
+        # of `offer` is skipped; its dedup check is inlined.
+        theorems, sizes = self.theorems, self.sizes
+        position, candidates = self.position, self.candidates
+        intern = self.store._intern_binary
+        start = delta.start
+        in_delta = [bucket[bisect_left(bucket, start):] for bucket in self.upto]
+        dedup_hits = 0
+        for i in self.upto[-1]:
+            left = theorems[i]
+            budget = self.max_size - 1 - sizes[left.index]
+            partners = self.upto[budget] if i >= start else in_delta[budget]
+            self.applications += len(partners)
+            for j in partners:
+                conclusion = intern(And, left, theorems[j])
+                if conclusion in position or conclusion in candidates:
+                    dedup_hits += 1
+                else:
+                    candidates[conclusion] = ProofStep(conclusion, RuleKind.AND_INTRO, (i, j))
+        self.dedup_hits += dedup_hits
 
     def run_and_elim(self, delta: range) -> None:
+        elim_left = RuleKind.AND_ELIM_L in self.rules
+        elim_right = RuleKind.AND_ELIM_R in self.rules
         for i in delta:
             node = self.nodes[self.theorems[i].index]
-            if not isinstance(node, And):
+            if type(node) is not And:
                 continue
-            if RuleKind.AND_ELIM_L in self.system.rules:
+            if elim_left:
                 self.applications += 1
-                self.offer(node.left, ProofStep(node.left, RuleKind.AND_ELIM_L, (i,)))
-            if RuleKind.AND_ELIM_R in self.system.rules:
+                self.offer(node.left, RuleKind.AND_ELIM_L, (i,))
+            if elim_right:
                 self.applications += 1
-                self.offer(node.right, ProofStep(node.right, RuleKind.AND_ELIM_R, (i,)))
+                self.offer(node.right, RuleKind.AND_ELIM_R, (i,))
 
     def run_or_intro(self, delta: range) -> None:
+        # Each disjunction fits the budget, so as in run_and_intro only the
+        # dedup check of `offer` is done, inlined.
+        theorems, sizes = self.theorems, self.sizes
+        position, candidates = self.position, self.candidates
+        intern = self.store._intern_binary
+        dedup_hits = 0
         for i in delta:
             self.applications += 1
-            phi = self.theorems[i]
-            budget = self.max_size - 1 - self.sizes[phi.index]
+            phi = theorems[i]
+            budget = self.max_size - 1 - sizes[phi.index]
+            premises = (i,)
             for sigma, sigma_size in zip(self.universe, self.universe_sizes):
                 if sigma_size > budget:
                     break
-                left = self.store.disj(phi, sigma)
-                self.offer(left, ProofStep(left, RuleKind.OR_INTRO, (i,)))
-                right = self.store.disj(sigma, phi)
-                self.offer(right, ProofStep(right, RuleKind.OR_INTRO, (i,)))
+                for conclusion in (intern(Or, phi, sigma), intern(Or, sigma, phi)):
+                    if conclusion in position or conclusion in candidates:
+                        dedup_hits += 1
+                    else:
+                        candidates[conclusion] = ProofStep(conclusion, RuleKind.OR_INTRO, premises)
+        self.dedup_hits += dedup_hits
 
     def run_lbi(self, delta: range) -> None:
         for i in delta:
@@ -523,8 +552,7 @@ class _Saturation:
             if matched is None:
                 continue
             self.applications += 1
-            conclusion = matched[1]
-            self.offer(conclusion, ProofStep(conclusion, RuleKind.LBI_RULE, (i,)))
+            self.offer(matched[1], RuleKind.LBI_RULE, (i,))
 
     def run_case_split(self, delta: range) -> None:
         pairs = set()
@@ -547,8 +575,7 @@ class _Saturation:
                         pairs.add((j, k))
         for i, j in sorted(pairs):
             self.applications += 1
-            conclusion = self.nodes[self.theorems[i].index].consequent
-            self.offer(conclusion, ProofStep(conclusion, RuleKind.CASE_SPLIT, (i, j)))
+            self.offer(self.nodes[self.theorems[i].index].consequent, RuleKind.CASE_SPLIT, (i, j))
 
     def run(self) -> EnumerationResult:
         self.seed()
@@ -590,8 +617,19 @@ def saturate(system: AxiomaticSystem) -> EnumerationResult:
     the discovery order, the proof steps, and the stats reproducible
     run-to-run. Stops at the fixed point or when a bound is exhausted
     (reported in stats, never an error).
+
+    The cyclic garbage collector is paused during the run: a run makes
+    no reference cycles, so a collection would only walk its growing
+    heap. The collector's previous state is restored on return, and on
+    an exception too; a collector the caller disabled stays disabled.
     """
-    return _Saturation(system).run()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _Saturation(system).run()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

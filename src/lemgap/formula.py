@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "ParseError",
     "parse",
     "render",
+    "canonical_order",
     "size",
     "atoms_of",
     "subformula_closure",
@@ -87,19 +89,26 @@ class FormulaStore:
     walk formulas in ascending index order or on an explicit stack instead
     of recursing, so no formula is too deep for them.
 
-    The store is mutated by interning and by `render`, which fills an
-    index-aligned text cache; it is not thread-safe. `node`, `size`,
-    `render` and the constructors assert that an id is this store's.
-    `AxiomaticSystem` checks its formulas once, on construction, so
-    saturation indexes `sizes` and `nodes` directly.
+    Interning looks a node up by its atom name or child indices, so a node
+    object is built only when it is new. The store is mutated by interning
+    and by `render`, which fills an index-aligned text cache; it is not
+    thread-safe. `node`, `size`, `render` and the constructors assert that
+    an id is this store's. `AxiomaticSystem` checks its formulas once, on
+    construction, so saturation indexes `sizes` and `nodes` directly and
+    interns through `_intern_binary`, the routine behind `conj`, `disj`
+    and `impl`.
     """
 
     def __init__(self) -> None:
         self._tag = next(_store_tags)
         self._nodes: list[Formula] = []
         self._sizes: list[int] = []
-        self._index: dict[Formula, FormulaId] = {}
-        self._texts: list[str] = []  # render cache, a prefix of _nodes
+        self._texts: list[Optional[str]] = []  # render cache; None until rendered
+        # One lookup table per node type. A binary node's key is
+        # `left << 32 | right` over its child indices, which is unique
+        # while every index is below 2**32; a store of 2**32 nodes would
+        # need hundreds of GB, so that bound is never reached.
+        self._tables: dict[type, dict] = {Atom: {}, Not: {}, And: {}, Or: {}, Implies: {}}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -121,39 +130,48 @@ class FormulaStore:
         assert f.store_tag == self._tag, "FormulaId belongs to a different store"
         return self._nodes[f.index]
 
-    def _intern(self, node: Formula, node_size: int) -> FormulaId:
-        found = self._index.get(node)
-        if found is not None:
-            return found
-        f = FormulaId(len(self._nodes), self._tag)
+    def _add(self, table: dict, key: object, node: Formula, node_size: int) -> FormulaId:
+        f = table[key] = FormulaId(len(self._nodes), self._tag)
         self._nodes.append(node)
         self._sizes.append(node_size)
-        self._index[node] = f
         return f
+
+    def _intern_binary(self, kind: type, left: FormulaId, right: FormulaId) -> FormulaId:
+        """Intern `kind(left, right)` without checking that the ids are this store's."""
+        table = self._tables[kind]
+        key = left.index << 32 | right.index
+        found = table.get(key)
+        if found is not None:
+            return found
+        node_size = 1 + self._sizes[left.index] + self._sizes[right.index]
+        return self._add(table, key, kind(left, right), node_size)
 
     def atom(self, name: str) -> FormulaId:
         if not ATOM_NAME.match(name):
             raise ValueError(f"invalid atom name {name!r}")
-        return self._intern(Atom(name), 1)
+        table = self._tables[Atom]
+        found = table.get(name)
+        return found if found is not None else self._add(table, name, Atom(name), 1)
 
     def neg(self, f: FormulaId) -> FormulaId:
         assert f in self
-        return self._intern(Not(f), 1 + self._sizes[f.index])
+        table = self._tables[Not]
+        found = table.get(f.index)
+        if found is not None:
+            return found
+        return self._add(table, f.index, Not(f), 1 + self._sizes[f.index])
 
     def conj(self, left: FormulaId, right: FormulaId) -> FormulaId:
         assert left in self and right in self
-        return self._intern(And(left, right), 1 + self._sizes[left.index] + self._sizes[right.index])
+        return self._intern_binary(And, left, right)
 
     def disj(self, left: FormulaId, right: FormulaId) -> FormulaId:
         assert left in self and right in self
-        return self._intern(Or(left, right), 1 + self._sizes[left.index] + self._sizes[right.index])
+        return self._intern_binary(Or, left, right)
 
     def impl(self, antecedent: FormulaId, consequent: FormulaId) -> FormulaId:
         assert antecedent in self and consequent in self
-        return self._intern(
-            Implies(antecedent, consequent),
-            1 + self._sizes[antecedent.index] + self._sizes[consequent.index],
-        )
+        return self._intern_binary(Implies, antecedent, consequent)
 
 
 def size(f: FormulaId, store: FormulaStore) -> int:
@@ -333,42 +351,91 @@ def parse(text: str, store: FormulaStore) -> FormulaId:
 _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 1, 2, 3, 4
 _LEVELS = {Atom: _LEVEL_UNARY, Not: _LEVEL_UNARY, And: _LEVEL_AND, Or: _LEVEL_OR,
            Implies: _LEVEL_IMPLIES}
-# Infix text and the levels the left and right slots demand. The
-# antecedent slot demands conjunction level, so or- and
+# Infix text, the levels the left and right slots demand, and the
+# operands. The antecedent slot demands conjunction level, so or- and
 # implication-antecedents are parenthesized: `(p | ~p) -> q`.
 _INFIX = {
-    And: (" & ", _LEVEL_AND, _LEVEL_UNARY),
-    Or: (" | ", _LEVEL_OR, _LEVEL_AND),
-    Implies: (" -> ", _LEVEL_AND, _LEVEL_IMPLIES),
+    And: (" & ", _LEVEL_AND, _LEVEL_UNARY, attrgetter("left", "right")),
+    Or: (" | ", _LEVEL_OR, _LEVEL_AND, attrgetter("left", "right")),
+    Implies: (" -> ", _LEVEL_AND, _LEVEL_IMPLIES, attrgetter("antecedent", "consequent")),
 }
 
 
-def _slot(child: FormulaId, required: int, texts: list[str], nodes: list[Formula]) -> str:
+def _slot(
+    child: FormulaId, required: int, texts: Sequence[Optional[str]], nodes: Sequence[Formula]
+) -> str:
     text = texts[child.index]
     if _LEVELS[type(nodes[child.index])] < required:
         return "(" + text + ")"
     return text
 
 
+def _fill_texts(fs: Iterable[FormulaId], store: FormulaStore) -> list[Optional[str]]:
+    """Cache the text of every formula in `fs` and of its subformulas.
+
+    Returns the store's index-aligned text cache, which holds None for a
+    node that nothing has rendered yet. Nothing else is rendered: with
+    shared subterms a node's text can be exponentially longer than the
+    store, so unrelated nodes are never touched. The ids are not checked.
+    """
+    texts = store._texts
+    nodes = store._nodes
+    texts.extend([None] * (len(nodes) - len(texts)))
+    # A node with text has texts for all its subformulas, so the walk
+    # stops there.
+    missing: set[int] = set()
+    stack = [f.index for f in fs if texts[f.index] is None]
+    while stack:
+        i = stack.pop()
+        if texts[i] is not None or i in missing:
+            continue
+        missing.add(i)
+        node = nodes[i]
+        if type(node) is Not:
+            stack.append(node.child.index)
+        elif type(node) is not Atom:
+            left, right = _INFIX[type(node)][3](node)
+            stack += (left.index, right.index)
+    # Ascending index order renders children before their parents.
+    for i in sorted(missing):
+        node = nodes[i]
+        if type(node) is Atom:
+            text = node.name
+        elif type(node) is Not:
+            text = "~" + _slot(node.child, _LEVEL_UNARY, texts, nodes)
+        else:
+            infix, left_level, right_level, operands = _INFIX[type(node)]
+            left, right = operands(node)
+            left_text = _slot(left, left_level, texts, nodes)
+            text = left_text + infix + _slot(right, right_level, texts, nodes)
+        texts[i] = text
+    return texts
+
+
 def render(f: FormulaId, store: FormulaStore) -> str:
     """Canonical ASCII text. parse(render(f)) always re-interns to f.
 
-    Extends the store's text cache in index order up to f, so each node
+    Caches the text of f and of its subformulas in the store, so each node
     only joins the cached texts of its children, which precede it.
     """
     assert f.store_tag == store._tag, "FormulaId belongs to a different store"
-    texts = store._texts
-    if f.index >= len(texts):
-        nodes = store._nodes
-        for node in nodes[len(texts) : f.index + 1]:
-            match node:
-                case Atom(name):
-                    text = name
-                case Not(child):
-                    text = "~" + _slot(child, _LEVEL_UNARY, texts, nodes)
-                case And(left, right) | Or(left, right) | Implies(left, right):
-                    infix, left_level, right_level = _INFIX[type(node)]
-                    left_text = _slot(left, left_level, texts, nodes)
-                    text = left_text + infix + _slot(right, right_level, texts, nodes)
-            texts.append(text)
-    return texts[f.index]
+    if f.index < len(store._texts) and (text := store._texts[f.index]) is not None:
+        return text
+    return _fill_texts((f,), store)[f.index]
+
+
+def canonical_order(fs: Iterable[FormulaId], store: FormulaStore) -> list[FormulaId]:
+    """The formulas of `fs` sorted by (size, text), the canonical order.
+
+    Renders, and caches, only the formulas of `fs` and their subformulas.
+    """
+    ordered = list(fs)
+    tag = store._tag
+    assert all(f.store_tag == tag for f in ordered), "FormulaId belongs to a different store"
+    texts = _fill_texts(ordered, store)
+    sizes = store._sizes
+    # A stable sort by size of the text-sorted list orders by (size, text)
+    # without building a key tuple per formula.
+    ordered.sort(key=lambda f: texts[f.index])
+    ordered.sort(key=lambda f: sizes[f.index])
+    return ordered

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lemgap.cli import main
+from lemgap.cli import MAX_SYSTEM_BYTES, main
 
 
 def run(capsys, *argv):
@@ -154,6 +154,35 @@ def test_enumerate_missing_system_flag(capsys):
 def test_enumerate_missing_file(capsys):
     code, _, err = run(capsys, "enumerate", "--system", "/nonexistent/x.json")
     assert code == 1
+
+
+def test_system_file_byte_limit(capsys, tmp_path):
+    # Trailing whitespace pads a valid document to the cap and one byte past it.
+    doc = json.dumps({"axioms": ["p", "p -> q"], "rules": ["MP"]}).encode("utf-8")
+    at_limit = tmp_path / "at_limit.json"
+    at_limit.write_bytes(doc + b" " * (MAX_SYSTEM_BYTES - len(doc)))
+    code, out, err = run(capsys, "enumerate", "--system", str(at_limit))
+    assert (code, err) == (0, "")
+    assert "fixed point reached" in out
+    over_limit = tmp_path / "over_limit.json"
+    over_limit.write_bytes(doc + b" " * (MAX_SYSTEM_BYTES + 1 - len(doc)))
+    code, out, err = run(capsys, "enumerate", "--system", str(over_limit))
+    assert (code, out) == (1, "")
+    assert err == f"error: document: system file larger than {MAX_SYSTEM_BYTES} bytes\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{", b'{"axioms": ["p"], "rules": ["MP"], "atoms": ["p\xe9"]}'],
+    ids=["utf16-bom", "latin1-atom"],
+)
+def test_system_file_not_utf8(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "enumerate", "--system", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: document: system file is not valid UTF-8: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_enumerate_max_size_override(capsys, tmp_path):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 import random
 from dataclasses import replace
 
 import pytest
 
+from lemgap import engine
 from lemgap.engine import (
     ArityMismatch,
     AxiomTooLarge,
@@ -16,6 +19,7 @@ from lemgap.engine import (
     NotDerived,
     ProofStep,
     RuleKind,
+    Stats,
     apply_rule,
     check_proof,
     extract_proof,
@@ -24,6 +28,7 @@ from lemgap.engine import (
     system_document,
 )
 from lemgap.formula import FormulaStore, parse, render, size
+from lemgap.gap import gap_report
 from lemgap.oracle import entails
 
 from support import naive_closure, random_system
@@ -528,3 +533,142 @@ def test_extracted_proofs_replay_on_random_systems():
         for goal in result.theorems:
             proof = extract_proof(result, goal)
             assert check_proof(proof, system) is None
+
+
+def test_index_of_matches_theorem_positions():
+    system = mk_system(["p", "p -> q", "q -> r"], [RuleKind.MP], atoms=("p", "q", "r"))
+    result = saturate(system)
+    for i, f in enumerate(result.theorems):
+        assert result.index_of(f) == i
+    assert result.index_of(parse("r -> p", system.store)) is None
+
+
+# --- golden proof steps --------------------------------------------------------
+
+# The S9 benchmark system; the pins below run it at sizes 7 and 9. Each pin
+# is the SHA-256 of one `rendered conclusion, rule, premises` line per
+# proof step, plus the exact Stats, so any drift in theorem order, proof
+# indices or counters shows up across commits.
+S9_DOC = {
+    "atoms": ["p", "q", "r", "s"],
+    "axioms": ["p", "q -> r", "(p | ~p) -> q", "~s -> r"],
+    "rules": ["MP", "AND_INTRO", "AND_ELIM_L", "AND_ELIM_R", "OR_INTRO"],
+}
+
+
+def steps_digest(result, store):
+    digest = hashlib.sha256()
+    for step in result.steps:
+        premises = ",".join(map(str, step.premises))
+        digest.update(f"{render(step.conclusion, store)}\t{step.rule_name}\t{premises}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "extra_axioms, extra_rules, bounds, digest, stats",
+    [
+        ((), (), {"max_formula_size": 7},
+         "e41570c4da16246555ad14be365fada108f4ef1e71b127c4201b4462e721baca",
+         Stats(7, True, 15188, 5952)),
+        ((), ("LBI_RULE",), {"max_formula_size": 7},
+         "4f02ef1bf5cc2ff757fbba79f46ff2708f525c443066070e8461c8ca864742c1",
+         Stats(6, True, 15189, 5953)),
+        # No `x -> y`, `~x -> y` pair ever appears in S7, so CASE_SPLIT never
+        # fires and the steps equal the base run's; the next two pins add
+        # `s -> r`, which gives CASE_SPLIT one step and LEM_AXIOM six.
+        ((), ("CASE_SPLIT",), {"max_formula_size": 7},
+         "e41570c4da16246555ad14be365fada108f4ef1e71b127c4201b4462e721baca",
+         Stats(7, True, 15188, 5952)),
+        (("s -> r",), ("CASE_SPLIT",), {"max_formula_size": 7},
+         "c588cce960fff830847d8cbbbbf93284db041d13663dde75e8669072e4217902",
+         Stats(6, True, 15929, 6244)),
+        (("s -> r",), ("LEM_AXIOM",), {"max_formula_size": 7},
+         "af533a2f954e38ae35fd1889b8cada7ddd694500fd189635b54a37ee8cae57d5",
+         Stats(6, True, 16042, 6280)),
+        # Cut after 3,878 of generation 3's 6,651 theorems.
+        ((), (), {"max_formula_size": 9, "max_theorems": 5000},
+         "cb298245b51b64c724d5bb9357e5a3420362de78f089ce43fb7da743bbc43147",
+         Stats(3, False, 5522, 971)),
+    ],
+    ids=["s7", "s7-lbi", "s7-case-split", "s7-two-branch-case-split", "s7-two-branch-lem",
+         "s9-truncated"],
+)
+def test_saturate_proof_steps_are_pinned(extra_axioms, extra_rules, bounds, digest, stats):
+    doc = {
+        **S9_DOC,
+        "axioms": S9_DOC["axioms"] + list(extra_axioms),
+        "rules": S9_DOC["rules"] + list(extra_rules),
+        "bounds": bounds,
+    }
+    system = load_system(json.dumps(doc))
+    result = saturate(system)
+    assert steps_digest(result, system.store) == digest
+    assert result.stats == stats
+
+
+# --- the cyclic collector ------------------------------------------------------
+
+@pytest.fixture
+def collector_state():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_saturate_restores_the_collector_state(collector_state, monkeypatch, enabled):
+    seen = []
+    run_mp = engine._Saturation.run_mp
+
+    def spy(self, delta):
+        seen.append(gc.isenabled())
+        run_mp(self, delta)
+
+    monkeypatch.setattr(engine._Saturation, "run_mp", spy)
+    gc.enable() if enabled else gc.disable()
+    saturate(mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q")))
+    assert seen and not any(seen)  # paused while saturating
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_saturate_restores_the_collector_state_when_a_run_raises(
+    collector_state, monkeypatch, enabled
+):
+    def fail(self, delta):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(engine._Saturation, "run_mp", fail)
+    gc.enable() if enabled else gc.disable()
+    with pytest.raises(RuntimeError, match="boom"):
+        saturate(mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q")))
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize(
+    "extra_axioms, close_with",
+    [((), RuleKind.LBI_RULE), (("s -> r",), RuleKind.LEM_AXIOM),
+     (("s -> r",), RuleKind.CASE_SPLIT)],
+    ids=["s7-lbi", "s7-two-branch-lem", "s7-two-branch-case-split"],
+)
+def test_saturation_and_gap_reports_leave_no_cyclic_garbage(
+    collector_state, extra_axioms, close_with
+):
+    # With the collector off, anything a run leaves in a reference cycle
+    # would be found by the explicit collections below.
+    doc = {**S9_DOC, "axioms": S9_DOC["axioms"] + list(extra_axioms),
+           "bounds": {"max_formula_size": 7}}
+    base = load_system(json.dumps(doc))
+    closing = base.with_rules(base.rules | {close_with})
+    gc.disable()
+    gc.collect()
+    results = [saturate(base)]
+    assert gc.collect() == 0
+    results.append(saturate(closing))
+    assert gc.collect() == 0
+    results.append(gap_report(base, close_with))
+    assert gc.collect() == 0
+    assert results[2].closure.theorems == results[1].theorems

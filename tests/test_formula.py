@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -13,6 +15,7 @@ from lemgap.formula import (
     Or,
     ParseError,
     atoms_of,
+    canonical_order,
     match_lbi_shape,
     parse,
     render,
@@ -184,6 +187,49 @@ def test_render_parenthesization():
     ]
     for text in cases:
         assert render(parse(text, store), store) == text
+
+
+def test_render_builds_only_the_subformulas_it_needs():
+    # p conjoined with itself 16 times: 17 nodes whose texts take about 1 MB.
+    store = FormulaStore()
+    tower = [store.atom("p")]
+    for _ in range(16):
+        tower.append(store.conj(tower[-1], tower[-1]))
+    f = store.conj(store.atom("q"), store.atom("r"))
+    tracemalloc.start()
+    try:
+        text = render(f, store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == "q & r"
+    assert peak < 64 * 1024
+    assert render(tower[2], store) == "p & p & (p & p)"
+    assert render(f, store) == "q & r"
+
+
+def test_canonical_order_sorts_by_size_then_text():
+    store = FormulaStore()
+    texts = ["q -> p", "p & q", "~r", "q", "p | q", "(p -> q) -> r", "p", "~~p", "q & p"]
+    fs = [parse(text, store) for text in texts]
+    expected = sorted(fs, key=lambda f: (size(f, store), render(f, store)))
+    assert canonical_order(reversed(fs), store) == expected
+    assert [render(f, store) for f in expected[:3]] == ["p", "q", "~r"]
+    # Only the formulas given and their subformulas are rendered.
+    tower = [store.atom("s")]
+    for _ in range(16):
+        tower.append(store.conj(tower[-1], tower[-1]))
+    f = store.conj(store.atom("t"), store.atom("u"))
+    tracemalloc.start()
+    try:
+        ordered = canonical_order([f, store.atom("u")], store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ordered == [store.atom("u"), f]
+    assert peak < 64 * 1024
+    with pytest.raises(AssertionError):
+        canonical_order([f], FormulaStore())
 
 
 def test_render_parse_round_trip_examples():
