@@ -5,13 +5,21 @@ per assignment), deterministic, and capped at ATOM_LIMIT atoms. Truth
 masks are computed in one ascending pass over store indices, children
 before parents, so formula depth is not limited by recursion.
 
-The store is not read-only here: `independent` interns `~x`. These calls
-are not thread-safe; give each thread its own store.
+`entails` keeps, per store, the table of the last axiom set it was asked
+about: one truth mask per axiom atom, the models mask and the
+all-assignments mask, (n + 2) * 2**n bits for n atoms (about 2.9 MB at
+20). A store's table is dropped with the store. Each query's own masks
+are not kept.
+
+The store is not read-only here: `independent` interns `~x`. These calls,
+and the per-store table, are not thread-safe; give each thread its own
+store.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .formula import And, Atom, FormulaId, FormulaStore, Implies, Not, Or
@@ -120,26 +128,48 @@ def _atom_mask(position: int, n_atoms: int) -> int:
     return mask
 
 
+class _Table(NamedTuple):
+    """The axiom side of a truth table over a fixed list of atoms."""
+
+    axioms: tuple[FormulaId, ...]
+    full: int  # every assignment's bit set
+    atom_masks: dict[str, int]  # atom name -> truth mask, in bit-position order
+    models: int  # assignments satisfying every axiom
+
+
+# The last axiom table each store was asked about. A store's table goes
+# when the store does; the table holds no reference to its store.
+_tables: weakref.WeakKeyDictionary[FormulaStore, _Table] = weakref.WeakKeyDictionary()
+
+
 def _truth_table(
-    formulas: tuple[FormulaId, ...], store: FormulaStore
-) -> tuple[dict[str, int], int, dict[int, int]]:
-    """Atom positions, the all-assignments mask and the subformula masks."""
-    names = sorted({name for f in formulas for name in atoms_of(f, store)})
+    axioms: tuple[FormulaId, ...], extra: tuple[FormulaId, ...], store: FormulaStore
+) -> _Table:
+    """The axioms' table over their atoms and those of `extra`."""
+    names = sorted({name for f in (*axioms, *extra) for name in atoms_of(f, store)})
     if len(names) > ATOM_LIMIT:
         raise TooManyAtoms(len(names))
-    positions = {name: i for i, name in enumerate(names)}
     n = len(names)
     full = (1 << (1 << n)) - 1
-    masks = _masks(formulas, lambda name: _atom_mask(positions[name], n), full, store)
-    return positions, full, masks
+    atom_masks = {name: _atom_mask(i, n) for i, name in enumerate(names)}
+    masks = _masks(axioms, atom_masks.__getitem__, full, store)
+    models = full
+    for ax in axioms:
+        models &= masks[ax.index]
+    return _Table(axioms, full, atom_masks, models)
+
+
+def _mask(f: FormulaId, table: _Table, store: FormulaStore) -> int:
+    return _masks((f,), table.atom_masks.__getitem__, table.full, store)[f.index]
 
 
 def classify(f: FormulaId, store: FormulaStore) -> Verdict:
     """Tautology, Contradiction, or Contingent, by exhausting assignments."""
-    _, full, masks = _truth_table((f,), store)
-    if masks[f.index] == full:
+    table = _truth_table((), (f,), store)
+    mask = _mask(f, table, store)
+    if mask == table.full:
         return Verdict.TAUTOLOGY
-    if masks[f.index] == 0:
+    if mask == 0:
         return Verdict.CONTRADICTION
     return Verdict.CONTINGENT
 
@@ -150,17 +180,25 @@ def entails(axioms: Iterable[FormulaId], f: FormulaId, store: FormulaStore) -> E
     When the answer is no, the lowest-indexed violating assignment is
     returned as a countermodel (total over the combined atom set). An
     unsatisfiable axiom set entails everything.
+
+    Each store keeps the table of the axioms it was last asked about, so
+    a query within their atoms evaluates only f's subformulas. A query
+    with other atoms gets a one-off table over the combined set.
     """
     axioms = tuple(axioms)
-    positions, full, masks = _truth_table((*axioms, f), store)
-    models = full
-    for ax in axioms:
-        models &= masks[ax.index]
-    violations = models & (full ^ masks[f.index])
+    table = _tables.get(store)
+    if table is None or table.axioms != axioms:
+        try:
+            table = _tables[store] = _truth_table(axioms, (), store)
+        except TooManyAtoms:
+            table = None  # the combined table below raises with the full count
+    if table is None or not table.atom_masks.keys() >= set(atoms_of(f, store)):
+        table = _truth_table(axioms, (f,), store)
+    violations = table.models & (table.full ^ _mask(f, table, store))
     if violations == 0:
         return Entailment(True, None)
     j = (violations & -violations).bit_length() - 1
-    countermodel = {name: bool((j >> i) & 1) for name, i in positions.items()}
+    countermodel = {name: bool((j >> i) & 1) for i, name in enumerate(table.atom_masks)}
     return Entailment(False, countermodel)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 
@@ -101,6 +102,21 @@ def test_classify_atom_limit_exit_code(capsys):
     code, _, err = run(capsys, "classify", formula)
     assert code == 4
     assert "limit" in err
+
+
+def test_classify_entails_atom_limit_against_system(capsys, tmp_path):
+    # The count names the combined atom set: axioms plus query.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "axioms": [" | ".join(f"x{i}" for i in range(21))],
+        "rules": ["MP"],
+        "bounds": {"max_formula_size": 60},
+    }))
+    for query, count in (("x0", 21), ("y", 22)):
+        for mode in ("--entails", "--independent"):
+            code, out, err = run(capsys, "classify", "--system", str(path), mode, query)
+            assert (code, out) == (4, "")
+            assert err == f"error: {count} atoms exceed the oracle limit of 20\n"
 
 
 def test_classify_requires_formula_or_flag(capsys):
@@ -369,6 +385,24 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_command_exit_code(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_warm_main_leaves_few_cyclic_objects(capsys):
+    # The parser is built once per process; a rebuilt one would leave
+    # about 230 objects in reference cycles on every call.
+    argv = ("parse", "p -> q", "--format", "machine")
+    assert run(capsys, *argv)[0] == 0
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        code, _, _ = run(capsys, *argv)
+        left = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert code == 0
+    assert left < 100
 
 
 def test_repeated_runs_identical_same_process(capsys, eq1_file):

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemgap.formula import FormulaStore, parse
+from lemgap import oracle
+from lemgap.formula import FormulaStore, atoms_of, parse
+from lemgap.gap import demo_family, gap_report
 from lemgap.oracle import (
     ATOM_LIMIT,
     MissingAtom,
@@ -123,14 +129,24 @@ def test_negation_swaps_tautology_and_contradiction(shape):
     assert negated is swap[verdict]
 
 
+def _entailment_in_fresh_store(axiom_shapes, goal_shape, widen):
+    store = FormulaStore()
+    axioms = tuple(intern_shape(s, store) for s in axiom_shapes)
+    goal = intern_shape(goal_shape, store)
+    if widen:
+        goal = store.disj(goal, store.atom("w"))
+    return entails(axioms, goal, store)
+
+
 @settings(max_examples=60)
 @given(
     axiom_shapes=st.lists(shapes(), max_size=3),
+    other_shapes=st.lists(shapes(("q", "r", "s")), max_size=3),
     goal_shape=shapes(),
     extra_shape=shapes(),
 )
 def test_entailment_brute_force_monotone_and_countermodel(
-    axiom_shapes, goal_shape, extra_shape
+    axiom_shapes, other_shapes, goal_shape, extra_shape
 ):
     store = FormulaStore()
     axioms = tuple(intern_shape(s, store) for s in axiom_shapes)
@@ -147,3 +163,114 @@ def test_entailment_brute_force_monotone_and_countermodel(
         model = verdict.countermodel
         assert all(evaluate(ax, model, store) for ax in axioms)
         assert evaluate(goal, model, store) is False
+
+    # The store keeps the table of the last axiom set it was asked about.
+    # Switching sets (A, B, then A again) and asking for a goal with an
+    # atom outside the axioms must give the answer a fresh store gives,
+    # countermodel included.
+    other = tuple(intern_shape(s, store) for s in other_shapes)
+    wide = store.disj(goal, store.atom("w"))
+    queries = (
+        (axioms, goal, axiom_shapes, False),
+        (other, goal, other_shapes, False),
+        (axioms, goal, axiom_shapes, False),
+        (axioms, wide, axiom_shapes, True),
+        (axioms, goal, axiom_shapes, False),
+        (other, wide, other_shapes, True),
+    )
+    for query_axioms, query_goal, query_shapes, widen in queries:
+        answer = entails(query_axioms, query_goal, store)
+        assert answer == _entailment_in_fresh_store(query_shapes, goal_shape, widen)
+        assert answer.holds == brute_force_entails(query_axioms, query_goal, store)
+        if not answer.holds:
+            names = {n for f in (*query_axioms, query_goal) for n in atoms_of(f, store)}
+            assert answer.countermodel.keys() == names
+
+
+def test_too_many_atoms_counts_axioms_and_query():
+    store = FormulaStore()
+    wide = (parse(" | ".join(f"x{i}" for i in range(ATOM_LIMIT + 1)), store),)
+    inside = parse("x0 & ~x19", store)
+    for check in (entails, independent):
+        with pytest.raises(TooManyAtoms) as excinfo:
+            check(wide, inside, store)
+        assert excinfo.value.count == ATOM_LIMIT + 1
+    # The axiom table fits; the query's extra atom pushes the set over.
+    axioms = tuple(parse(f"x{i} -> x{i + 1}", store) for i in range(ATOM_LIMIT - 1))
+    assert entails(axioms, inside, store).holds is False
+    for check in (entails, independent):
+        with pytest.raises(TooManyAtoms) as excinfo:
+            check(axioms, parse("x0 | y", store), store)
+        assert excinfo.value.count == ATOM_LIMIT + 1
+    assert entails(axioms, parse("x0 -> x19", store), store).holds is True
+    assert independent(axioms, parse("x7", store), store) is True
+
+
+def test_family_report_builds_the_axiom_table_once(monkeypatch):
+    # 39 queries (the conclusion, then x and ~x for 19 pivots) over the
+    # same 20-atom axioms: one table, so one mask per atom in all.
+    calls = []
+
+    def counting(position, n_atoms):
+        calls.append(position)
+        return atom_mask(position, n_atoms)
+
+    atom_mask = oracle._atom_mask
+    monkeypatch.setattr(oracle, "_atom_mask", counting)
+    report = gap_report(demo_family(19))
+    assert [m.verification.oracle_entailed for m in report.gap] == [True]
+    assert report.gap[0].verification.pivot_independent_semantically is True
+    assert sorted(calls) == list(range(20))
+
+
+def test_axiom_tables_are_one_per_store_and_die_with_it():
+    gc.collect()
+    before = len(oracle._tables)
+    stores = [FormulaStore(), FormulaStore()]
+    for store in stores:
+        a, b = parse("p -> q", store), parse("q -> r", store)
+        for axioms in ((a,), (a, b), (b,)):
+            entails(axioms, parse("r", store), store)
+            independent(axioms, parse("q", store), store)
+    assert len(oracle._tables) == before + 2
+    alive = weakref.ref(stores[0])
+    del stores[0], store, a, b, axioms
+    gc.collect()
+    assert alive() is None
+    assert len(oracle._tables) == before + 1
+
+
+def test_distinct_queries_keep_only_the_axiom_table():
+    # Per-query masks are not kept: 200 distinct queries against one
+    # 16-atom axiom set grow traced memory by one table, (n + 2) * 2**n
+    # bits (n atom masks, the models mask and the all-assignments mask),
+    # plus slack for small objects. Keeping each query's masks would add
+    # at least 200 * 2**n bits, 1.6 MB.
+    n = 16
+
+    def workload():
+        store = FormulaStore()
+        axioms = tuple(parse(f"x{i} -> x{i + 1}", store) for i in range(n - 1))
+        queries = [
+            parse(f"x{i} -> x{j}" if k else f"x{i} & ~x{j}", store)
+            for i in range(n) for j in range(n) for k in range(2)
+        ][:200]
+        return store, axioms, queries
+
+    # A first pass, untraced, fills the interpreter's free lists.
+    store, axioms, queries = workload()
+    for f in queries:
+        entails(axioms, f, store)
+    store, axioms, queries = workload()
+    assert len(set(queries)) == 200
+    table_bytes = (n + 2) * (1 << n) // 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for f in queries:
+            entails(axioms, f, store)
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown <= table_bytes + 128 * 1024
