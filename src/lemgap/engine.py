@@ -11,19 +11,25 @@ from __future__ import annotations
 import enum
 import gc
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .formula import (
+    AND,
     ATOM_NAME,
+    IMPLIES,
+    NOT,
+    OR,
     And,
     FormulaId,
     FormulaStore,
     Implies,
     Not,
-    Or,
     ParseError,
+    _lbi_shapes,
+    _positions,
+    _sort_canonical,
     atoms_of,
     canonical_order,
     match_lbi_shape,
@@ -235,7 +241,7 @@ def load_system(text: str, store: Optional[FormulaStore] = None) -> AxiomaticSys
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad text, too many digits, too deep
         raise ConfigError("document", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("document", "top level must be an object")
@@ -380,82 +386,86 @@ def apply_rule(
 # ---------------------------------------------------------------------------
 
 class _Saturation:
-    """One saturation run. Every id it handles was issued by `system.store`
-    (checked when the system was built), so the loops index the store's
-    `sizes` and `nodes` arrays directly and intern without the checks."""
+    """One saturation run over formula indices. Every id it handles was
+    issued by `system.store` (checked when the system was built), so the
+    loops read the store's columns directly and intern without the
+    checks. Ids and proof steps are built once, when the run returns."""
 
     def __init__(self, system: AxiomaticSystem):
         self.system = system
         self.rules = system.rules
-        self.store = system.store
-        self.sizes = system.store.sizes
-        self.nodes = system.store.nodes
+        self.store = store = system.store
+        self.lefts, self.rights = store.lefts, store.rights
+        self.sizes = store.sizes
         self.max_size = system.bounds.max_formula_size
-        self.universe = system.universe()
+        self.universe = [sigma.index for sigma in system.universe()]
         # Non-decreasing, because the universe is sorted by (size, text).
-        self.universe_sizes = [self.sizes[sigma.index] for sigma in self.universe]
-        self.theorems: list[FormulaId] = []
-        self.steps: list[ProofStep] = []
+        self.universe_sizes = [self.sizes[sigma] for sigma in self.universe]
+        self.theorems: list[int] = []
+        self.steps: list[tuple[Optional[RuleKind], tuple[int, ...]]] = []  # (rule, premises)
         self.generations: list[int] = []
-        self.position: dict[FormulaId, int] = {}
+        self.position: dict[int, int] = {}
         # upto[b]: ascending positions of the theorems of size at most b, for
-        # each AND_INTRO budget b below max_size - 1 (at least one list, so
-        # that upto[-1] is the largest budget even when max_size is 1). Kept
-        # only when AND_INTRO is enabled: nothing else reads it.
-        self.upto: list[list[int]] = []
-        if RuleKind.AND_INTRO in self.rules:
-            self.upto = [[] for _ in range(max(self.max_size - 1, 1))]
-        self.impl_by_antecedent: dict[FormulaId, list[int]] = {}
-        self.impl_by_consequent: dict[FormulaId, list[int]] = {}
+        # each AND_INTRO budget b up to the largest size seen, capped at
+        # max_size - 2 (at least one list); upto[-1] holds every theorem of
+        # a larger budget too. Kept only when AND_INTRO is enabled.
+        self.upto: list[list[int]] = [[]] if RuleKind.AND_INTRO in self.rules else []
+        self.impl_by_antecedent: dict[int, list[int]] = {}
+        self.impl_by_consequent: dict[int, list[int]] = {}
         self.applications = 0
         self.dedup_hits = 0
         self.truncated = False
-        # Per-round scratch: conclusion -> first ProofStep that derived it.
-        self.candidates: dict[FormulaId, ProofStep] = {}
+        # Per-round scratch: conclusion -> (rule, premises) that first derived it.
+        self.candidates: dict[int, tuple[Optional[RuleKind], tuple[int, ...]]] = {}
 
-    def offer(
-        self, conclusion: FormulaId, rule: Optional[RuleKind], premises: tuple[int, ...]
-    ) -> None:
-        if self.sizes[conclusion.index] > self.max_size:
+    def offer(self, conclusion: int, rule: Optional[RuleKind], premises: tuple[int, ...]) -> None:
+        if self.sizes[conclusion] > self.max_size:
             return
         if conclusion in self.position or conclusion in self.candidates:
             self.dedup_hits += 1
             return
-        self.candidates[conclusion] = ProofStep(conclusion, rule, premises)
+        self.candidates[conclusion] = (rule, premises)
 
     def admit_generation(self, gen: int) -> None:
         candidates = self.candidates
         self.candidates = {}
-        ordered = canonical_order(candidates, self.store)
+        ordered = list(candidates)
+        _sort_canonical(ordered, self.store)
         room = self.system.bounds.max_theorems - len(self.theorems)
         if len(ordered) > room:
             self.truncated = True
             del ordered[room:]
-        sizes, upto = self.sizes, self.upto
-        for f in ordered:
-            index = len(self.theorems)
-            self.theorems.append(f)
-            self.steps.append(candidates[f])
-            self.generations.append(gen)
-            self.position[f] = index
-            for budget in range(sizes[f.index], len(upto)):
-                upto[budget].append(index)
-            node = self.nodes[f.index]
-            if type(node) is Implies:
-                self.impl_by_antecedent.setdefault(node.antecedent, []).append(index)
-                self.impl_by_consequent.setdefault(node.consequent, []).append(index)
+        first = len(self.theorems)
+        self.theorems += ordered
+        self.steps += map(candidates.__getitem__, ordered)
+        self.generations += [gen] * len(ordered)
+        self.position.update(zip(ordered, range(first, len(self.theorems))))
+        if self.upto and ordered:
+            # `ordered` is sorted by size, so the theorems of size at most
+            # b are a prefix of it.
+            ordered_sizes = [self.sizes[f] for f in ordered]
+            for _ in range(len(self.upto), min(ordered_sizes[-1], self.max_size - 2) + 1):
+                self.upto.append(self.upto[-1].copy())
+            for budget, bucket in enumerate(self.upto):
+                bucket += range(first, first + bisect_right(ordered_sizes, budget))
+        for k in _positions(IMPLIES, ordered, self.store):
+            f = ordered[k]
+            self.impl_by_antecedent.setdefault(self.lefts[f], []).append(first + k)
+            self.impl_by_consequent.setdefault(self.rights[f], []).append(first + k)
 
     def seed(self) -> None:
         for ax in self.system.axioms:
-            self.offer(ax, None, ())
+            self.offer(ax.index, None, ())
         if RuleKind.LEM_AXIOM in self.rules:
             self.applications += 1
-            for instance in apply_rule(RuleKind.LEM_AXIOM, (), self.store, self.universe):
-                self.offer(instance, RuleKind.LEM_AXIOM, ())
+            store = self.store
+            for x in self.universe:
+                self.offer(store._intern_binary(OR, x, store._neg(x)), RuleKind.LEM_AXIOM, ())
         self.admit_generation(0)
 
     def round(self, delta: range) -> None:
-        """Apply every enabled rule to every premise tuple touching `delta`."""
+        """Apply every enabled rule to every premise tuple touching `delta`,
+        the newest generation: the tail of the theorem list."""
         rules = self.rules
         if RuleKind.MP in rules:
             self.run_mp(delta)
@@ -471,19 +481,18 @@ class _Saturation:
             self.run_case_split(delta)
 
     def run_mp(self, delta: range) -> None:
+        theorems = self.theorems
         pairs = set()
-        for j in delta:
-            node = self.nodes[self.theorems[j].index]
-            if isinstance(node, Implies):
-                i = self.position.get(node.antecedent)
-                if i is not None:
-                    pairs.add((i, j))
+        for j in _positions(IMPLIES, theorems, self.store, delta.start):
+            i = self.position.get(self.lefts[theorems[j]])
+            if i is not None:
+                pairs.add((i, j))
         for i in delta:
-            for j in self.impl_by_antecedent.get(self.theorems[i], ()):
+            for j in self.impl_by_antecedent.get(theorems[i], ()):
                 pairs.add((i, j))
         for i, j in sorted(pairs):
             self.applications += 1
-            self.offer(self.nodes[self.theorems[j].index].consequent, RuleKind.MP, (i, j))
+            self.offer(self.rights[theorems[j]], RuleKind.MP, (i, j))
 
     def run_and_intro(self, delta: range) -> None:
         # Every pair (i, j) with i or j in delta whose conjunction fits,
@@ -499,30 +508,28 @@ class _Saturation:
         dedup_hits = 0
         for i in self.upto[-1]:
             left = theorems[i]
-            budget = self.max_size - 1 - sizes[left.index]
+            budget = min(self.max_size - 1 - sizes[left], len(in_delta) - 1)
             partners = self.upto[budget] if i >= start else in_delta[budget]
             self.applications += len(partners)
             for j in partners:
-                conclusion = intern(And, left, theorems[j])
+                conclusion = intern(AND, left, theorems[j])
                 if conclusion in position or conclusion in candidates:
                     dedup_hits += 1
                 else:
-                    candidates[conclusion] = ProofStep(conclusion, RuleKind.AND_INTRO, (i, j))
+                    candidates[conclusion] = (RuleKind.AND_INTRO, (i, j))
         self.dedup_hits += dedup_hits
 
     def run_and_elim(self, delta: range) -> None:
         elim_left = RuleKind.AND_ELIM_L in self.rules
         elim_right = RuleKind.AND_ELIM_R in self.rules
-        for i in delta:
-            node = self.nodes[self.theorems[i].index]
-            if type(node) is not And:
-                continue
+        for i in _positions(AND, self.theorems, self.store, delta.start):
+            f = self.theorems[i]
             if elim_left:
                 self.applications += 1
-                self.offer(node.left, RuleKind.AND_ELIM_L, (i,))
+                self.offer(self.lefts[f], RuleKind.AND_ELIM_L, (i,))
             if elim_right:
                 self.applications += 1
-                self.offer(node.right, RuleKind.AND_ELIM_R, (i,))
+                self.offer(self.rights[f], RuleKind.AND_ELIM_R, (i,))
 
     def run_or_intro(self, delta: range) -> None:
         # Each disjunction fits the budget, so as in run_and_intro only the
@@ -534,48 +541,43 @@ class _Saturation:
         for i in delta:
             self.applications += 1
             phi = theorems[i]
-            budget = self.max_size - 1 - sizes[phi.index]
-            premises = (i,)
+            budget = self.max_size - 1 - sizes[phi]
+            step = (RuleKind.OR_INTRO, (i,))
             for sigma, sigma_size in zip(self.universe, self.universe_sizes):
                 if sigma_size > budget:
                     break
-                for conclusion in (intern(Or, phi, sigma), intern(Or, sigma, phi)):
+                for conclusion in (intern(OR, phi, sigma), intern(OR, sigma, phi)):
                     if conclusion in position or conclusion in candidates:
                         dedup_hits += 1
                     else:
-                        candidates[conclusion] = ProofStep(conclusion, RuleKind.OR_INTRO, premises)
+                        candidates[conclusion] = step
         self.dedup_hits += dedup_hits
 
     def run_lbi(self, delta: range) -> None:
-        for i in delta:
-            matched = match_lbi_shape(self.theorems[i], self.store)
-            if matched is None:
-                continue
+        for i, _, conclusion in _lbi_shapes(self.theorems, self.store, delta.start):
             self.applications += 1
-            self.offer(matched[1], RuleKind.LBI_RULE, (i,))
+            self.offer(conclusion, RuleKind.LBI_RULE, (i,))
 
     def run_case_split(self, delta: range) -> None:
+        theorems, kinds, lefts = self.theorems, self.store.kinds, self.lefts
         pairs = set()
-        for k in delta:
-            node = self.nodes[self.theorems[k].index]
-            if not isinstance(node, Implies):
-                continue
-            partners = self.impl_by_consequent.get(node.consequent, ())
+        for k in _positions(IMPLIES, theorems, self.store, delta.start):
+            f = theorems[k]
+            partners = self.impl_by_consequent.get(self.rights[f], ())
             # New theorem as the x -> y premise.
             for j in partners:
-                ant = self.nodes[self.theorems[j].index].antecedent
-                ant_node = self.nodes[ant.index]
-                if isinstance(ant_node, Not) and ant_node.child == node.antecedent:
+                ant = lefts[theorems[j]]
+                if kinds[ant] == NOT and lefts[ant] == lefts[f]:
                     pairs.add((k, j))
             # New theorem as the ~x -> y premise.
-            ant_node = self.nodes[node.antecedent.index]
-            if isinstance(ant_node, Not):
+            ant = lefts[f]
+            if kinds[ant] == NOT:
                 for j in partners:
-                    if self.nodes[self.theorems[j].index].antecedent == ant_node.child:
+                    if lefts[theorems[j]] == lefts[ant]:
                         pairs.add((j, k))
         for i, j in sorted(pairs):
             self.applications += 1
-            self.offer(self.nodes[self.theorems[i].index].consequent, RuleKind.CASE_SPLIT, (i, j))
+            self.offer(self.rights[theorems[i]], RuleKind.CASE_SPLIT, (i, j))
 
     def run(self) -> EnumerationResult:
         self.seed()
@@ -593,9 +595,17 @@ class _Saturation:
                 fixed_point = True
                 break
             self.admit_generation(self.generations[-1] + 1 if self.theorems else 1)
+        # Dropped before the ids and steps are built, so they are not part
+        # of the run's peak memory.
+        for index in (self.position, self.upto, self.impl_by_antecedent, self.impl_by_consequent):
+            index.clear()
+        theorems = self.store._ids(self.theorems)
+        steps = self.steps  # each (rule, premises) pair is freed as its step replaces it
+        for k, (rule, premises) in enumerate(steps):
+            steps[k] = ProofStep(theorems[k], rule, premises)
         return EnumerationResult(
-            theorems=tuple(self.theorems),
-            steps=tuple(self.steps),
+            theorems=tuple(theorems),
+            steps=tuple(steps),
             generations=tuple(self.generations),
             stats=Stats(
                 generations_run=rounds,

@@ -1,9 +1,9 @@
 """Propositional formulas: interned AST, parser, renderer, structural queries.
 
-Formulas live in a FormulaStore (an append-only arena with perfect
-interning), so structural equality is id equality and sharing is free.
-The surface syntax is ASCII (`~ & | ->`) with the Unicode connectives
-accepted as input aliases.
+Formulas live in a FormulaStore (an append-only arena of int columns with
+perfect interning), so structural equality is id equality and sharing is
+free. The surface syntax is ASCII (`~ & | ->`) with the Unicode
+connectives accepted as input aliases.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Atom",
@@ -36,6 +36,7 @@ __all__ = [
 ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 _store_tags = itertools.count(1)
+_id_index, _id_tag = attrgetter("index"), attrgetter("store_tag")
 
 
 class FormulaId(NamedTuple):
@@ -79,9 +80,24 @@ class Implies:
 
 Formula = Atom | Not | And | Or | Implies
 
+# Node kinds, the values of a store's `kinds` column.
+ATOM, NOT, AND, OR, IMPLIES = range(5)
+_NODE_TYPES = (Atom, Not, And, Or, Implies)  # indexed by kind
+
 
 class FormulaStore:
     """Append-only interning arena. Ids never change meaning once issued.
+
+    A formula is an index into four index-aligned int columns: `kinds`
+    (ATOM, NOT, AND, OR or IMPLIES), `lefts` (a negation's child, a binary
+    node's left operand or antecedent), `rights` (a binary node's right
+    operand or consequent) and `sizes`. Both child columns hold -1 where a
+    node has no such child; an atom's name is kept by index. No node
+    object is stored: `node` builds one on demand. Hash-consing goes
+    through one lookup table per kind, from the atom name, the child
+    index, or `left << 32 | right` over the child indices, to the node's
+    index. That key is unique while every index is below 2**32; a store of
+    2**32 nodes would need hundreds of GB, so the bound is never reached.
 
     Children always precede parents: a node is interned only after its
     children, so every child index is below its parent's. This invariant
@@ -89,89 +105,155 @@ class FormulaStore:
     walk formulas in ascending index order or on an explicit stack instead
     of recursing, so no formula is too deep for them.
 
-    Interning looks a node up by its atom name or child indices, so a node
-    object is built only when it is new. The store is mutated by interning
-    and by `render`, which fills an index-aligned text cache; it is not
-    thread-safe. `node`, `size`, `render` and the constructors assert that
-    an id is this store's. `AxiomaticSystem` checks its formulas once, on
-    construction, so saturation indexes `sizes` and `nodes` directly and
-    interns through `_intern_binary`, the routine behind `conj`, `disj`
-    and `impl`.
+    The store is mutated only by interning (the constructors, `parse`,
+    saturation) and by `render`, which fills an index-aligned text cache;
+    the oracle also keeps a table per store (see `lemgap.oracle`). Queries
+    such as `lbi_accepted` and `independent` look nodes up without
+    interning. It is not thread-safe. `node`, `size`, `render` and the
+    constructors assert that an id is this store's. Inside the package,
+    saturation, the oracle and gap reports read the columns and intern
+    over plain indices; an id from outside is checked once, where it
+    enters, and a `FormulaId` is built only for what is handed back.
     """
 
     def __init__(self) -> None:
         self._tag = next(_store_tags)
-        self._nodes: list[Formula] = []
+        self._kinds: list[int] = []
+        self._lefts: list[int] = []
+        self._rights: list[int] = []
         self._sizes: list[int] = []
+        self._names: dict[int, str] = {}  # atom index -> name
         self._texts: list[Optional[str]] = []  # render cache; None until rendered
-        # One lookup table per node type. A binary node's key is
-        # `left << 32 | right` over its child indices, which is unique
-        # while every index is below 2**32; a store of 2**32 nodes would
-        # need hundreds of GB, so that bound is never reached.
-        self._tables: dict[type, dict] = {Atom: {}, Not: {}, And: {}, Or: {}, Implies: {}}
+        self._id_cache: list[Optional[FormulaId]] = []  # see _ids; None until requested
+        self._tables: tuple[dict, ...] = ({}, {}, {}, {}, {})  # indexed by kind
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._kinds)
 
     def __contains__(self, f: FormulaId) -> bool:
-        return f.store_tag == self._tag and 0 <= f.index < len(self._nodes)
+        return f.store_tag == self._tag and 0 <= f.index < len(self._kinds)
+
+    # The live columns; read them, never mutate them.
+
+    @property
+    def kinds(self) -> Sequence[int]:
+        return self._kinds
+
+    @property
+    def lefts(self) -> Sequence[int]:
+        return self._lefts
+
+    @property
+    def rights(self) -> Sequence[int]:
+        return self._rights
 
     @property
     def sizes(self) -> Sequence[int]:
-        """Live, index-aligned formula sizes; read it, never mutate it."""
         return self._sizes
 
-    @property
-    def nodes(self) -> Sequence[Formula]:
-        """Live, index-aligned nodes; read it, never mutate it."""
-        return self._nodes
-
     def node(self, f: FormulaId) -> Formula:
+        """The node of `f`, built from the columns."""
         assert f.store_tag == self._tag, "FormulaId belongs to a different store"
-        return self._nodes[f.index]
+        i = f.index
+        kind = self._kinds[i]
+        if kind == ATOM:
+            return Atom(self._names[i])
+        if kind == NOT:
+            return Not(self._id(self._lefts[i]))
+        return _NODE_TYPES[kind](self._id(self._lefts[i]), self._id(self._rights[i]))
 
-    def _add(self, table: dict, key: object, node: Formula, node_size: int) -> FormulaId:
-        f = table[key] = FormulaId(len(self._nodes), self._tag)
-        self._nodes.append(node)
-        self._sizes.append(node_size)
+    # An id is built on first request and kept, so the ids handed out for
+    # one node, by several runs over the store among others, are shared.
+
+    def _id(self, i: int) -> FormulaId:
+        """This store's id for index `i`."""
+        cache = self._id_cache
+        if i >= len(cache):
+            cache += [None] * (len(self._kinds) - len(cache))
+        f = cache[i]
+        if f is None:
+            f = cache[i] = FormulaId(i, self._tag)
         return f
 
-    def _intern_binary(self, kind: type, left: FormulaId, right: FormulaId) -> FormulaId:
-        """Intern `kind(left, right)` without checking that the ids are this store's."""
-        table = self._tables[kind]
-        key = left.index << 32 | right.index
-        found = table.get(key)
+    def _ids(self, indices: Iterable[int]) -> list[FormulaId]:
+        """This store's ids for `indices`, in bulk."""
+        indices = list(indices)
+        cache = self._id_cache
+        cache += [None] * (len(self._kinds) - len(cache))
+        new = [i for i in indices if cache[i] is None]
+        # tuple.__new__ over (index, tag) pairs builds each FormulaId in C,
+        # twice as fast as calling the NamedTuple's Python-level __new__.
+        pairs = zip(new, itertools.repeat(self._tag))
+        for i, f in zip(new, map(tuple.__new__, itertools.repeat(FormulaId), pairs)):
+            cache[i] = f
+        return list(map(cache.__getitem__, indices))
+
+    def _add(self, kind: int, key: object, left: int, right: int, node_size: int) -> int:
+        i = self._tables[kind][key] = len(self._kinds)
+        self._kinds.append(kind)
+        self._lefts.append(left)
+        self._rights.append(right)
+        self._sizes.append(node_size)
+        return i
+
+    def _atom(self, name: str) -> int:
+        """Intern the atom `name`, which must be a valid atom name."""
+        found = self._tables[ATOM].get(name)
+        if found is None:
+            found = self._add(ATOM, name, -1, -1, 1)
+            self._names[found] = name
+        return found
+
+    def _neg(self, child: int) -> int:
+        found = self._tables[NOT].get(child)
         if found is not None:
             return found
-        node_size = 1 + self._sizes[left.index] + self._sizes[right.index]
-        return self._add(table, key, kind(left, right), node_size)
+        return self._add(NOT, child, child, -1, 1 + self._sizes[child])
+
+    def _intern_binary(self, kind: int, left: int, right: int) -> int:
+        """Intern `kind(left, right)` over indices, without checking them."""
+        key = left << 32 | right
+        found = self._tables[kind].get(key)
+        if found is not None:
+            return found
+        return self._add(kind, key, left, right, 1 + self._sizes[left] + self._sizes[right])
+
+    def _lookup(self, kind: int, left: int, right: int = -1) -> Optional[int]:
+        """Index of the negation of `left`, or of `kind(left, right)` for a
+        binary kind; None when it was never interned. Interns nothing."""
+        return self._tables[kind].get(left if kind == NOT else left << 32 | right)
+
+    def _index(self, f: FormulaId) -> int:
+        assert f in self, "FormulaId belongs to a different store"
+        return f.index
 
     def atom(self, name: str) -> FormulaId:
         if not ATOM_NAME.match(name):
             raise ValueError(f"invalid atom name {name!r}")
-        table = self._tables[Atom]
-        found = table.get(name)
-        return found if found is not None else self._add(table, name, Atom(name), 1)
+        return self._id(self._atom(name))
 
     def neg(self, f: FormulaId) -> FormulaId:
-        assert f in self
-        table = self._tables[Not]
-        found = table.get(f.index)
-        if found is not None:
-            return found
-        return self._add(table, f.index, Not(f), 1 + self._sizes[f.index])
+        return self._id(self._neg(self._index(f)))
+
+    def _binary(self, kind: int, left: FormulaId, right: FormulaId) -> FormulaId:
+        return self._id(self._intern_binary(kind, self._index(left), self._index(right)))
 
     def conj(self, left: FormulaId, right: FormulaId) -> FormulaId:
-        assert left in self and right in self
-        return self._intern_binary(And, left, right)
+        return self._binary(AND, left, right)
 
     def disj(self, left: FormulaId, right: FormulaId) -> FormulaId:
-        assert left in self and right in self
-        return self._intern_binary(Or, left, right)
+        return self._binary(OR, left, right)
 
     def impl(self, antecedent: FormulaId, consequent: FormulaId) -> FormulaId:
-        assert antecedent in self and consequent in self
-        return self._intern_binary(Implies, antecedent, consequent)
+        return self._binary(IMPLIES, antecedent, consequent)
+
+
+def _indices(fs: Iterable[FormulaId], store: FormulaStore) -> list[int]:
+    """The store indices of `fs`, each checked to be an id of `store`."""
+    ids = list(fs)
+    tag_ok = store._tag.__eq__
+    assert all(map(tag_ok, map(_id_tag, ids))), "FormulaId belongs to a different store"
+    return list(map(_id_index, ids))
 
 
 def size(f: FormulaId, store: FormulaStore) -> int:
@@ -180,27 +262,60 @@ def size(f: FormulaId, store: FormulaStore) -> int:
     return store._sizes[f.index]
 
 
+def _closure(indices: Iterable[int], store: FormulaStore) -> set[int]:
+    """Indices of all subformulas of the indexed formulas, themselves included."""
+    kinds, lefts, rights = store._kinds, store._lefts, store._rights
+    out: set[int] = set()
+    stack = list(indices)
+    while stack:
+        i = stack.pop()
+        if i in out:
+            continue
+        out.add(i)
+        kind = kinds[i]
+        if kind == NOT:
+            stack.append(lefts[i])
+        elif kind != ATOM:
+            stack += (lefts[i], rights[i])
+    return out
+
+
 def atoms_of(f: FormulaId, store: FormulaStore) -> tuple[str, ...]:
     """Sorted distinct atom names occurring in f."""
-    closure = subformula_closure([f], store)
-    return tuple(sorted({n.name for n in map(store.node, closure) if isinstance(n, Atom)}))
+    names = store._names
+    return tuple(sorted({names[i] for i in _closure(_indices((f,), store), store) if i in names}))
 
 
 def subformula_closure(fs: Iterable[FormulaId], store: FormulaStore) -> frozenset[FormulaId]:
     """All subformulas of the inputs, the inputs included."""
-    out: set[FormulaId] = set()
-    stack = list(fs)
-    while stack:
-        g = stack.pop()
-        if g in out:
+    return frozenset(store._ids(_closure(_indices(fs, store), store)))
+
+
+def _positions(kind: int, fs: Sequence[int], store: FormulaStore, start: int = 0) -> Iterator[int]:
+    """Ascending positions, from `start` on, of the formulas of `fs` of the
+    given kind. In a wide run most formulas are not of the kind a rule
+    looks for (S9 has 3 implications among 110,747 theorems), and the
+    filter inside one generator expression skips them fastest."""
+    kinds = store._kinds
+    return (j for j in range(start, len(fs)) if kinds[fs[j]] == kind)
+
+
+def _lbi_shapes(
+    fs: Sequence[int], store: FormulaStore, start: int = 0
+) -> Iterator[tuple[int, int, int]]:
+    """(position, pivot, conclusion) for each formula of `fs`, from `start`
+    on, that reads `(x | ~x) -> y` or `(~x | x) -> y`."""
+    kinds, lefts, rights = store._kinds, store._lefts, store._rights
+    for position in _positions(IMPLIES, fs, store, start):
+        f = fs[position]
+        ant = lefts[f]
+        if kinds[ant] != OR:
             continue
-        out.add(g)
-        match store.node(g):
-            case Not(child):
-                stack.append(child)
-            case And(left, right) | Or(left, right) | Implies(left, right):
-                stack.extend((left, right))
-    return frozenset(out)
+        left, right = lefts[ant], rights[ant]
+        if kinds[right] == NOT and lefts[right] == left:
+            yield position, left, rights[f]
+        elif kinds[left] == NOT and lefts[left] == right:
+            yield position, right, rights[f]
 
 
 def match_lbi_shape(f: FormulaId, store: FormulaStore) -> Optional[tuple[FormulaId, FormulaId]]:
@@ -210,18 +325,8 @@ def match_lbi_shape(f: FormulaId, store: FormulaStore) -> Optional[tuple[Formula
     negation, in either order. Deep equivalences (e.g. `~~x` vs `x`) do
     not match.
     """
-    node = store.node(f)
-    if not isinstance(node, Implies):
-        return None
-    ant = store.node(node.antecedent)
-    if not isinstance(ant, Or):
-        return None
-    left_node = store.node(ant.left)
-    right_node = store.node(ant.right)
-    if isinstance(right_node, Not) and right_node.child == ant.left:
-        return ant.left, node.consequent
-    if isinstance(left_node, Not) and left_node.child == ant.right:
-        return ant.right, node.consequent
+    for _, pivot, conclusion in _lbi_shapes(_indices((f,), store), store):
+        return store._id(pivot), store._id(conclusion)
     return None
 
 
@@ -301,39 +406,39 @@ def parse(text: str, store: FormulaStore) -> FormulaId:
     so children are interned before parents, left to right.
     """
     tokens = _tokenize(text)
-    pending: list[tuple[str, Optional[FormulaId]]] = []
+    pending: list[tuple[str, int]] = []  # marker or operator, left operand index
     pos = 0
     while True:
         # An operand: prefix markers stack up until an atom arrives.
         token = tokens[pos]
         pos += 1
         if token[0] in ("~", "("):
-            pending.append((token[0], None))
+            pending.append((token[0], -1))
             continue
         if token[0] != "atom":
             raise _unexpected(token, _PRIMARY_EXPECTED)
-        f = store.atom(token[1])
+        f = store._atom(token[1])  # the token pattern admits only atom names
         # Close every construct the operand completes, up to the next
         # binary operator, which is then pushed with f as its left operand.
         while True:
             while pending and pending[-1][0] == "~":
                 pending.pop()
-                f = store.neg(f)
+                f = store._neg(f)
             if pending and pending[-1][0] == "&":
-                f = store.conj(pending.pop()[1], f)
+                f = store._intern_binary(AND, pending.pop()[1], f)
             kind = tokens[pos][0]
             if kind == "&":
                 break
             if pending and pending[-1][0] == "|":
-                f = store.disj(pending.pop()[1], f)
+                f = store._intern_binary(OR, pending.pop()[1], f)
             if kind in ("|", "->"):
                 break
             while pending and pending[-1][0] == "->":
-                f = store.impl(pending.pop()[1], f)
+                f = store._intern_binary(IMPLIES, pending.pop()[1], f)
             if not pending:
                 if kind != "end":
                     raise _unexpected(tokens[pos], ("'&'", "'|'", "'->'", "end of input"))
-                return f
+                return store._id(f)
             if kind != ")":  # the top of the stack is now a "(" marker
                 raise _unexpected(tokens[pos], ("')'",))
             pending.pop()
@@ -346,68 +451,65 @@ def parse(text: str, store: FormulaStore) -> FormulaId:
 # Rendering
 # ---------------------------------------------------------------------------
 
-# Binding strength used by the canonical renderer, by node type. A child is
+# Binding strength used by the canonical renderer, by node kind. A child is
 # parenthesized when its own level is below the level its slot demands.
 _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 1, 2, 3, 4
-_LEVELS = {Atom: _LEVEL_UNARY, Not: _LEVEL_UNARY, And: _LEVEL_AND, Or: _LEVEL_OR,
-           Implies: _LEVEL_IMPLIES}
-# Infix text, the levels the left and right slots demand, and the
-# operands. The antecedent slot demands conjunction level, so or- and
+_LEVELS = (_LEVEL_UNARY, _LEVEL_UNARY, _LEVEL_AND, _LEVEL_OR, _LEVEL_IMPLIES)
+# By binary kind: infix text and the levels the left and right slots
+# demand. The antecedent slot demands conjunction level, so or- and
 # implication-antecedents are parenthesized: `(p | ~p) -> q`.
 _INFIX = {
-    And: (" & ", _LEVEL_AND, _LEVEL_UNARY, attrgetter("left", "right")),
-    Or: (" | ", _LEVEL_OR, _LEVEL_AND, attrgetter("left", "right")),
-    Implies: (" -> ", _LEVEL_AND, _LEVEL_IMPLIES, attrgetter("antecedent", "consequent")),
+    AND: (" & ", _LEVEL_AND, _LEVEL_UNARY),
+    OR: (" | ", _LEVEL_OR, _LEVEL_AND),
+    IMPLIES: (" -> ", _LEVEL_AND, _LEVEL_IMPLIES),
 }
 
 
-def _slot(
-    child: FormulaId, required: int, texts: Sequence[Optional[str]], nodes: Sequence[Formula]
-) -> str:
-    text = texts[child.index]
-    if _LEVELS[type(nodes[child.index])] < required:
+def _slot(child: int, required: int, texts: Sequence[Optional[str]], kinds: Sequence[int]) -> str:
+    text = texts[child]
+    if _LEVELS[kinds[child]] < required:
         return "(" + text + ")"
     return text
 
 
-def _fill_texts(fs: Iterable[FormulaId], store: FormulaStore) -> list[Optional[str]]:
-    """Cache the text of every formula in `fs` and of its subformulas.
+def _fill_texts(indices: Iterable[int], store: FormulaStore) -> list[Optional[str]]:
+    """Cache the text of every indexed formula and of its subformulas.
 
     Returns the store's index-aligned text cache, which holds None for a
     node that nothing has rendered yet. Nothing else is rendered: with
     shared subterms a node's text can be exponentially longer than the
-    store, so unrelated nodes are never touched. The ids are not checked.
+    store, so unrelated nodes are never touched. The indices are not
+    checked.
     """
     texts = store._texts
-    nodes = store._nodes
-    texts.extend([None] * (len(nodes) - len(texts)))
+    kinds, lefts, rights = store._kinds, store._lefts, store._rights
+    texts.extend([None] * (len(kinds) - len(texts)))
     # A node with text has texts for all its subformulas, so the walk
     # stops there.
     missing: set[int] = set()
-    stack = [f.index for f in fs if texts[f.index] is None]
+    stack = [i for i in indices if texts[i] is None]
     while stack:
         i = stack.pop()
         if texts[i] is not None or i in missing:
             continue
         missing.add(i)
-        node = nodes[i]
-        if type(node) is Not:
-            stack.append(node.child.index)
-        elif type(node) is not Atom:
-            left, right = _INFIX[type(node)][3](node)
-            stack += (left.index, right.index)
+        kind = kinds[i]
+        if kind == NOT:
+            stack.append(lefts[i])
+        elif kind != ATOM:
+            stack += (lefts[i], rights[i])
     # Ascending index order renders children before their parents.
+    names = store._names
     for i in sorted(missing):
-        node = nodes[i]
-        if type(node) is Atom:
-            text = node.name
-        elif type(node) is Not:
-            text = "~" + _slot(node.child, _LEVEL_UNARY, texts, nodes)
+        kind = kinds[i]
+        if kind == ATOM:
+            text = names[i]
+        elif kind == NOT:
+            text = "~" + _slot(lefts[i], _LEVEL_UNARY, texts, kinds)
         else:
-            infix, left_level, right_level, operands = _INFIX[type(node)]
-            left, right = operands(node)
-            left_text = _slot(left, left_level, texts, nodes)
-            text = left_text + infix + _slot(right, right_level, texts, nodes)
+            infix, left_level, right_level = _INFIX[kind]
+            left_text = _slot(lefts[i], left_level, texts, kinds)
+            text = left_text + infix + _slot(rights[i], right_level, texts, kinds)
         texts[i] = text
     return texts
 
@@ -421,7 +523,25 @@ def render(f: FormulaId, store: FormulaStore) -> str:
     assert f.store_tag == store._tag, "FormulaId belongs to a different store"
     if f.index < len(store._texts) and (text := store._texts[f.index]) is not None:
         return text
-    return _fill_texts((f,), store)[f.index]
+    return _fill_texts((f.index,), store)[f.index]
+
+
+def _render_all(fs: Iterable[FormulaId], store: FormulaStore) -> list[str]:
+    """The text of each formula of `fs`: `render` in bulk."""
+    indices = _indices(fs, store)
+    return list(map(_fill_texts(indices, store).__getitem__, indices))
+
+
+def _sort_canonical(indices: list[int], store: FormulaStore) -> None:
+    """Sort formula indices in place by (size, text), the canonical order.
+
+    Renders, and caches, only the indexed formulas and their subformulas.
+    """
+    texts = _fill_texts(indices, store)
+    # A stable sort by size of the text-sorted list orders by (size, text)
+    # without building a key tuple per formula.
+    indices.sort(key=texts.__getitem__)
+    indices.sort(key=store._sizes.__getitem__)
 
 
 def canonical_order(fs: Iterable[FormulaId], store: FormulaStore) -> list[FormulaId]:
@@ -429,13 +549,6 @@ def canonical_order(fs: Iterable[FormulaId], store: FormulaStore) -> list[Formul
 
     Renders, and caches, only the formulas of `fs` and their subformulas.
     """
-    ordered = list(fs)
-    tag = store._tag
-    assert all(f.store_tag == tag for f in ordered), "FormulaId belongs to a different store"
-    texts = _fill_texts(ordered, store)
-    sizes = store._sizes
-    # A stable sort by size of the text-sorted list orders by (size, text)
-    # without building a key tuple per formula.
-    ordered.sort(key=lambda f: texts[f.index])
-    ordered.sort(key=lambda f: sizes[f.index])
-    return ordered
+    ordered = _indices(fs, store)
+    _sort_canonical(ordered, store)
+    return store._ids(ordered)

@@ -20,15 +20,8 @@ from .engine import (
     RuleKind,
     saturate,
 )
-from .formula import (
-    FormulaId,
-    FormulaStore,
-    Implies,
-    Not,
-    match_lbi_shape,
-    parse,
-    render,
-)
+from .formula import IMPLIES, NOT, FormulaId, FormulaStore, _indices, _lbi_shapes, _positions
+from .formula import _render_all, parse, render
 from .oracle import entails, independent
 
 __all__ = [
@@ -39,7 +32,6 @@ __all__ = [
     "GapReport",
     "PreconditionViolated",
     "CLOSING_RULES",
-    "CASE_SPLIT_STYLE_RULES",
     "DemoVariant",
     "lbi_accepted",
     "gap_report",
@@ -52,7 +44,6 @@ __all__ = [
 # enumeration for a gap report must not contain any of them, and the
 # closure re-run adds exactly one of them.
 CLOSING_RULES = frozenset({RuleKind.LBI_RULE, RuleKind.LEM_AXIOM, RuleKind.CASE_SPLIT})
-CASE_SPLIT_STYLE_RULES = CLOSING_RULES
 
 
 class PreconditionViolated(Exception):
@@ -107,44 +98,34 @@ def lbi_accepted(result: EnumerationResult, store: FormulaStore) -> tuple[LbiWit
     Scans every theorem for the `(x | ~x) -> y` shape and every theorem
     pair for `{x -> y, ~x -> y}`. Witnesses are deduplicated by
     (conclusion, pivot, mode) and sorted by canonical text so the output
-    does not depend on discovery order.
+    does not depend on discovery order. Interns nothing.
     """
-    position = {f: i for i, f in enumerate(result.theorems)}
-    witnesses: dict[tuple[FormulaId, FormulaId, WitnessMode], LbiWitness] = {}
+    theorems = _indices(result.theorems, store)
+    # (conclusion, pivot, mode) -> source positions, first witness kept.
+    found: dict[tuple[int, int, WitnessMode], tuple[int, ...]] = {}
+    for i, pivot, conclusion in _lbi_shapes(theorems, store):
+        found.setdefault((conclusion, pivot, WitnessMode.EQ1_SHAPE), (i,))
 
-    for i, f in enumerate(result.theorems):
-        matched = match_lbi_shape(f, store)
-        if matched is None:
+    kinds, lefts, rights = store.kinds, store.lefts, store.rights
+    position = {f: i for i, f in enumerate(theorems)}
+    for j in _positions(IMPLIES, theorems, store):
+        f = theorems[j]
+        if kinds[lefts[f]] != NOT:
             continue
-        pivot, conclusion = matched
-        key = (conclusion, pivot, WitnessMode.EQ1_SHAPE)
-        if key not in witnesses:
-            witnesses[key] = LbiWitness(conclusion, pivot, WitnessMode.EQ1_SHAPE, (i,))
+        pivot, conclusion = lefts[lefts[f]], rights[f]
+        # x -> y can be a theorem only if it was ever interned.
+        i = position.get(store._lookup(IMPLIES, pivot, conclusion))
+        if i is not None:
+            found.setdefault((conclusion, pivot, WitnessMode.TWO_BRANCH), (i, j))
 
-    for j, f in enumerate(result.theorems):
-        node = store.node(f)
-        if not isinstance(node, Implies):
-            continue
-        ant = store.node(node.antecedent)
-        if not isinstance(ant, Not):
-            continue
-        pivot = ant.child
-        positive = store.impl(pivot, node.consequent)
-        i = position.get(positive)
-        if i is None:
-            continue
-        key = (node.consequent, pivot, WitnessMode.TWO_BRANCH)
-        if key not in witnesses:
-            witnesses[key] = LbiWitness(
-                node.consequent, pivot, WitnessMode.TWO_BRANCH, (i, j)
-            )
-
-    return tuple(
-        sorted(
-            witnesses.values(),
-            key=lambda w: (render(w.conclusion, store), render(w.pivot, store), w.mode.value),
-        )
+    witnesses = []
+    for (conclusion, pivot, mode), sources in found.items():
+        conclusion_id, pivot_id = store._ids((conclusion, pivot))
+        witnesses.append(LbiWitness(conclusion_id, pivot_id, mode, sources))
+    witnesses.sort(
+        key=lambda w: (render(w.conclusion, store), render(w.pivot, store), w.mode.value)
     )
+    return tuple(witnesses)
 
 
 def gap_report(
@@ -152,15 +133,15 @@ def gap_report(
 ) -> GapReport:
     """Accepted-minus-enumerated difference, verified member by member.
 
-    The base system must not enable any case-split-style rule, so the base
-    run is the plain bottom-up enumeration. Each gap member is checked
-    with the oracle: is the conclusion entailed by the axioms, is every
-    witness pivot semantically independent of them, and are the pivots
-    (and their negations) absent from the theorem list. With `close_with`,
-    the system is re-run with that rule added and the report states
-    whether every gap member is now enumerated.
+    The base system must not enable any closing rule, so the base run is
+    the plain bottom-up enumeration. Each gap member is checked with the
+    oracle: is the conclusion entailed by the axioms, is every witness
+    pivot semantically independent of them, and are the pivots (and their
+    negations) absent from the theorem list. With `close_with`, the system
+    is re-run with that rule added and the report states whether every
+    gap member is now enumerated.
     """
-    overlap = system.rules & CASE_SPLIT_STYLE_RULES
+    overlap = system.rules & CLOSING_RULES
     if overlap:
         names = ", ".join(sorted(r.value for r in overlap))
         raise PreconditionViolated(
@@ -173,11 +154,11 @@ def gap_report(
     store = system.store
     result = saturate(system)
     witnesses = lbi_accepted(result, store)
-    enumerated = set(result.theorems)
+    enumerated = {f.index for f in result.theorems}
 
     by_conclusion: dict[FormulaId, list[LbiWitness]] = {}
     for w in witnesses:
-        if w.conclusion in enumerated:
+        if w.conclusion.index in enumerated:
             continue
         by_conclusion.setdefault(w.conclusion, []).append(w)
 
@@ -191,7 +172,8 @@ def gap_report(
                 independent(system.axioms, x, store) for x in pivots
             ),
             pivot_absent_syntactically=all(
-                x not in enumerated and store.neg(x) not in enumerated for x in pivots
+                x.index not in enumerated and store._lookup(NOT, x.index) not in enumerated
+                for x in pivots
             ),
         )
         members.append(GapMember(conclusion, group, verification))
@@ -200,8 +182,8 @@ def gap_report(
     gap_closed = None
     if close_with is not None:
         closure = saturate(system.with_rules(system.rules | {close_with}))
-        closed_set = set(closure.theorems)
-        gap_closed = all(m.conclusion in closed_set for m in members)
+        closed = {f.index for f in closure.theorems}
+        gap_closed = all(m.conclusion.index in closed for m in members)
 
     return GapReport(
         system=system,
@@ -269,7 +251,7 @@ def demo_family(n: int) -> AxiomaticSystem:
 
 def _run_document(result: EnumerationResult, store: FormulaStore) -> dict:
     return {
-        "theorems": [render(f, store) for f in result.theorems],
+        "theorems": _render_all(result.theorems, store),
         "stats": asdict(result.stats),
     }
 

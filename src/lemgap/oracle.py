@@ -5,15 +5,15 @@ per assignment), deterministic, and capped at ATOM_LIMIT atoms. Truth
 masks are computed in one ascending pass over store indices, children
 before parents, so formula depth is not limited by recursion.
 
-`entails` keeps, per store, the table of the last axiom set it was asked
-about: one truth mask per axiom atom, the models mask and the
-all-assignments mask, (n + 2) * 2**n bits for n atoms (about 2.9 MB at
-20). A store's table is dropped with the store. Each query's own masks
-are not kept.
+`entails` and `independent` keep, per store, the table of the last axiom
+set they were asked about: one truth mask per axiom atom, the models mask
+and the all-assignments mask, (n + 2) * 2**n bits for n atoms (about
+2.9 MB at 20). A store's table is dropped with the store. Each query's
+own masks are not kept.
 
-The store is not read-only here: `independent` interns `~x`. These calls,
-and the per-store table, are not thread-safe; give each thread its own
-store.
+No query interns a formula; replacing a store's table is the only
+change they make. That table is not thread-safe; give each thread its
+own store.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import enum
 import weakref
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .formula import And, Atom, FormulaId, FormulaStore, Implies, Not, Or
-from .formula import atoms_of, subformula_closure
+from .formula import AND, ATOM, NOT, OR, FormulaId, FormulaStore, _closure, atoms_of
 
 __all__ = [
     "ATOM_LIMIT",
@@ -83,35 +82,36 @@ def evaluate(f: FormulaId, assignment: Assignment, store: FormulaStore) -> bool:
         except KeyError:
             raise MissingAtom(name) from None
 
-    return _masks([f], atom_value, 1, store)[f.index] == 1
+    assert f in store, "FormulaId belongs to a different store"
+    return _masks([f.index], atom_value, 1, store)[f.index] == 1
 
 
 def _masks(
-    formulas: Iterable[FormulaId],
+    indices: Iterable[int],
     atom_mask: Callable[[str], int],
     full: int,
     store: FormulaStore,
 ) -> dict[int, int]:
-    """Truth mask of every subformula of `formulas`, keyed by store index.
+    """Truth mask of every subformula of the indexed formulas, by index.
 
     Bit j of a mask is the formula's value in assignment j; `full` has
     every assignment's bit set. Walks the subformulas in ascending index
     order, so both children of a node are done before the node.
     """
-    nodes = store.nodes
+    kinds, lefts, rights, names = store.kinds, store.lefts, store.rights, store._names
     masks: dict[int, int] = {}
-    for g in sorted(subformula_closure(formulas, store)):
-        match nodes[g.index]:
-            case Atom(name):
-                masks[g.index] = atom_mask(name)
-            case Not(child):
-                masks[g.index] = full ^ masks[child.index]
-            case And(left, right):
-                masks[g.index] = masks[left.index] & masks[right.index]
-            case Or(left, right):
-                masks[g.index] = masks[left.index] | masks[right.index]
-            case Implies(antecedent, consequent):
-                masks[g.index] = (full ^ masks[antecedent.index]) | masks[consequent.index]
+    for i in sorted(_closure(indices, store)):
+        kind = kinds[i]
+        if kind == ATOM:
+            masks[i] = atom_mask(names[i])
+        elif kind == NOT:
+            masks[i] = full ^ masks[lefts[i]]
+        elif kind == AND:
+            masks[i] = masks[lefts[i]] & masks[rights[i]]
+        elif kind == OR:
+            masks[i] = masks[lefts[i]] | masks[rights[i]]
+        else:
+            masks[i] = (full ^ masks[lefts[i]]) | masks[rights[i]]
     return masks
 
 
@@ -152,7 +152,7 @@ def _truth_table(
     n = len(names)
     full = (1 << (1 << n)) - 1
     atom_masks = {name: _atom_mask(i, n) for i, name in enumerate(names)}
-    masks = _masks(axioms, atom_masks.__getitem__, full, store)
+    masks = _masks([ax.index for ax in axioms], atom_masks.__getitem__, full, store)
     models = full
     for ax in axioms:
         models &= masks[ax.index]
@@ -160,7 +160,7 @@ def _truth_table(
 
 
 def _mask(f: FormulaId, table: _Table, store: FormulaStore) -> int:
-    return _masks((f,), table.atom_masks.__getitem__, table.full, store)[f.index]
+    return _masks((f.index,), table.atom_masks.__getitem__, table.full, store)[f.index]
 
 
 def classify(f: FormulaId, store: FormulaStore) -> Verdict:
@@ -174,18 +174,13 @@ def classify(f: FormulaId, store: FormulaStore) -> Verdict:
     return Verdict.CONTINGENT
 
 
-def entails(axioms: Iterable[FormulaId], f: FormulaId, store: FormulaStore) -> Entailment:
-    """Does every assignment satisfying all axioms satisfy f?
-
-    When the answer is no, the lowest-indexed violating assignment is
-    returned as a countermodel (total over the combined atom set). An
-    unsatisfiable axiom set entails everything.
+def _query(axioms: tuple[FormulaId, ...], f: FormulaId, store: FormulaStore) -> tuple[_Table, int]:
+    """A table of the axioms' models over all of f's atoms, and f's mask.
 
     Each store keeps the table of the axioms it was last asked about, so
     a query within their atoms evaluates only f's subformulas. A query
     with other atoms gets a one-off table over the combined set.
     """
-    axioms = tuple(axioms)
     table = _tables.get(store)
     if table is None or table.axioms != axioms:
         try:
@@ -194,7 +189,18 @@ def entails(axioms: Iterable[FormulaId], f: FormulaId, store: FormulaStore) -> E
             table = None  # the combined table below raises with the full count
     if table is None or not table.atom_masks.keys() >= set(atoms_of(f, store)):
         table = _truth_table(axioms, (f,), store)
-    violations = table.models & (table.full ^ _mask(f, table, store))
+    return table, _mask(f, table, store)
+
+
+def entails(axioms: Iterable[FormulaId], f: FormulaId, store: FormulaStore) -> Entailment:
+    """Does every assignment satisfying all axioms satisfy f?
+
+    When the answer is no, the lowest-indexed violating assignment is
+    returned as a countermodel (total over the combined atom set). An
+    unsatisfiable axiom set entails everything.
+    """
+    table, mask = _query(tuple(axioms), f, store)
+    violations = table.models & (table.full ^ mask)
     if violations == 0:
         return Entailment(True, None)
     j = (violations & -violations).bit_length() - 1
@@ -206,8 +212,7 @@ def independent(axioms: Iterable[FormulaId], x: FormulaId, store: FormulaStore) 
     """Neither x nor ~x follows from the axioms.
 
     Vacuously false when the axioms are unsatisfiable (everything follows).
+    One mask of x answers both: some model falsifies x, and some satisfies it.
     """
-    axioms = tuple(axioms)
-    if entails(axioms, x, store).holds:
-        return False
-    return not entails(axioms, store.neg(x), store).holds
+    table, mask = _query(tuple(axioms), x, store)
+    return table.models & (table.full ^ mask) != 0 and table.models & mask != 0

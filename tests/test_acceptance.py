@@ -149,15 +149,16 @@ def test_parser_fuzz_round_trip():
 def test_byte_determinism_across_processes(tmp_path):
     # The subprocess runs in tmp_path, so a relative PYTHONPATH would not
     # resolve there; point it at the directory holding the package.
+    # Each command runs under two hash seeds: no output may depend on the
+    # iteration order of a set or dict of strings.
     package_root = str(Path(lemgap.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": package_root}
 
-    def cli(*argv):
+    def cli(*argv, hash_seed="1"):
         proc = subprocess.run(
             [sys.executable, "-m", "lemgap", *argv],
             capture_output=True,
             cwd=str(tmp_path),
-            env=env,
+            env={**os.environ, "PYTHONPATH": package_root, "PYTHONHASHSEED": hash_seed},
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
@@ -175,9 +176,9 @@ def test_byte_determinism_across_processes(tmp_path):
          "--close-with", "CASE_SPLIT"),
     ]
     for command in commands:
-        first = cli(*command)
-        second = cli(*command)
-        assert first == second, f"output of {command[0]} differs between runs"
+        first = cli(*command, hash_seed="1")
+        second = cli(*command, hash_seed="2")
+        assert first == second, f"output of {command[0]} differs between hash seeds"
         json.loads(first)  # machine output is well-formed
     report("byte-determinism")
 

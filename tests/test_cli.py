@@ -201,6 +201,23 @@ def test_system_file_not_utf8(capsys, tmp_path, data):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"axioms": [' + "[" * 200_000 + "]" * 200_000 + "]}",
+        '{"axioms": ["p"], "bounds": {"max_generations": 1' + "0" * 4_999 + "}}",
+    ],
+    ids=["nested-200000-deep", "integer-5000-digits"],
+)
+def test_system_file_json_decoder_limits(capsys, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "enumerate", "--system", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: document: invalid JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_enumerate_max_size_override(capsys, tmp_path):
     path = tmp_path / "grow.json"
     path.write_text(json.dumps({"axioms": ["p", "q"], "rules": ["AND_INTRO"]}))

@@ -264,6 +264,20 @@ def test_saturate_respects_max_theorems():
     assert result.stats.fixed_point_reached is False
 
 
+def test_and_intro_budget_is_sized_by_the_theorems_not_the_bound():
+    # Two generations stay far below either bound, so both runs must agree
+    # exactly; sizing anything by a bound of 10**9 would exhaust memory.
+    runs = []
+    for bound in (20, 1_000_000_000):
+        system = mk_system(
+            ["p", "q"], [RuleKind.AND_INTRO], max_formula_size=bound, max_generations=2
+        )
+        result = saturate(system)
+        runs.append((steps_digest(result, system.store), result.generations, result.stats))
+    assert runs[0] == runs[1]
+    assert runs[0][2] == Stats(2, False, 36, 0)
+
+
 def test_saturate_dedup_counts():
     # p & p derives p by both eliminations: the second is a dedup hit.
     system = mk_system(

@@ -75,6 +75,22 @@ def test_lbi_accepted_both_modes_reported():
     assert modes == {WitnessMode.EQ1_SHAPE, WitnessMode.TWO_BRANCH}
 
 
+def test_queries_leave_the_store_unchanged():
+    # `~r -> q` makes lbi_accepted look up `r -> q`, which was never
+    # interned, and the gap member q makes gap_report ask the oracle and
+    # the theorem list about the pivot p.
+    system = mk_system(["(p | ~p) -> q", "~r -> q"], [RuleKind.MP])
+    store = system.store
+    result = saturate(system)
+    saturate(system.with_rules(system.rules | {RuleKind.LBI_RULE}))
+    before = len(store)
+    assert len(lbi_accepted(result, store)) == 1
+    report = gap_report(system, RuleKind.LBI_RULE)
+    assert [render(m.conclusion, store) for m in report.gap] == ["q"]
+    assert report.gap_closed is True
+    assert len(store) == before
+
+
 # --- gap_report ----------------------------------------------------------------
 
 def test_gap_report_eq1_demo_closed_by_lbi_rule():
@@ -151,14 +167,14 @@ def test_gap_invariants_on_random_systems():
     import random
 
     from support import random_system
-    from lemgap.gap import CASE_SPLIT_STYLE_RULES
+    from lemgap.gap import CLOSING_RULES
 
     rng = random.Random(61)
     reports = 0
     nonempty = 0
     while reports < 40:
         system = random_system(rng)
-        if system.rules & CASE_SPLIT_STYLE_RULES:
+        if system.rules & CLOSING_RULES:
             continue
         reports += 1
         report = gap_report(system)

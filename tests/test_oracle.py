@@ -100,6 +100,15 @@ def test_independent_examples():
     assert independent((), parse("p | ~p", store), store) is False
 
 
+def test_independent_leaves_the_store_unchanged():
+    store = FormulaStore()
+    axioms = (parse("p -> q", store),)
+    x = parse("q & r", store)
+    before = len(store)
+    assert independent(axioms, x, store) is True
+    assert len(store) == before  # ~(q & r) was never interned
+
+
 def test_unsatisfiable_axioms_entail_everything():
     store = FormulaStore()
     axioms = (parse("p", store), parse("~p", store))
