@@ -24,7 +24,6 @@ from .engine import (
     NotDerived,
     ProofStep,
     RuleKind,
-    Stats,
     check_proof,
     extract_proof,
     load_system,
@@ -80,8 +79,9 @@ def _parse_arg(text: str, store: FormulaStore) -> FormulaId:
     return parse(text, store)
 
 
-def _stats_lines(stats: Stats) -> str:
-    state = "fixed point reached" if stats.fixed_point_reached else "bounds exhausted"
+def _stats_lines(result: EnumerationResult) -> str:
+    stats = result.stats
+    state = "fixed point reached" if stats.fixed_point_reached else f"{result.stop_reason} reached"
     return (
         f"{state} after {stats.generations_run} generation(s); "
         f"{stats.rule_applications} rule application(s), {stats.dedup_hits} dedup hit(s)"
@@ -199,7 +199,7 @@ def cmd_enumerate(args) -> int:
     else:
         for i, step in enumerate(result.steps):
             print(_step_line(i, step, system.store, gen=result.generations[i]))
-        print(_stats_lines(result.stats))
+        print(_stats_lines(result))
     return EXIT_OK
 
 
@@ -213,7 +213,7 @@ def cmd_prove(args) -> int:
         if result.stats.fixed_point_reached:
             print("fixed point reached without goal", file=sys.stderr)
         else:
-            print("goal not derived within bounds", file=sys.stderr)
+            print(f"goal not derived within bounds ({result.stop_reason})", file=sys.stderr)
         return EXIT_NOT_DERIVED
     failure = check_proof(proof, system)
     if failure is not None:  # pragma: no cover - replay of our own output
@@ -248,8 +248,9 @@ def cmd_gap(args) -> int:
         _emit(report_document(report))
         return EXIT_OK
     store = system.store
-    print(f"base run: {len(report.enumerated.theorems)} theorem(s); "
-          + _stats_lines(report.enumerated.stats))
+    # One generation per theorem: counting them builds no ids.
+    print(f"base run: {len(report.enumerated.generations)} theorem(s); "
+          + _stats_lines(report.enumerated))
     print(f"lbi-accepted ({len(report.lbi_accepted)}):")
     for w in report.lbi_accepted:
         print(
@@ -271,7 +272,7 @@ def cmd_gap(args) -> int:
     if report.closure is not None:
         print(
             f"closure with {report.closure_rule.value}: "
-            f"{len(report.closure.theorems)} theorem(s); "
+            f"{len(report.closure.generations)} theorem(s); "
             f"gap_closed={str(report.gap_closed).lower()}"
         )
     return EXIT_OK

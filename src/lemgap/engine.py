@@ -13,6 +13,7 @@ import gc
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .formula import (
@@ -192,19 +193,52 @@ class Stats:
     dedup_hits: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnumerationResult:
     """Discovery-ordered theorem list with aligned proof steps and
-    generation numbers."""
+    generation numbers. `stop_reason` is `fixed_point`, `max_generations`
+    or `max_theorems`.
 
-    theorems: tuple[FormulaId, ...]
-    steps: tuple[ProofStep, ...]
+    A result keeps its run's store indices and (rule, premises) pairs.
+    `theorems` and `steps` are built from them on first read, the steps
+    replacing the pairs, so `gap_report`, which reads neither, builds no
+    id or proof step. Results compare by theorems, steps, generations and
+    stats.
+    """
+
     generations: tuple[int, ...]
     stats: Stats
+    stop_reason: str
+    _store: FormulaStore = field(repr=False)
+    _indices: tuple[int, ...] = field(repr=False)
+    _pairs: Optional[list] = field(repr=False)
+
+    @cached_property
+    def theorems(self) -> tuple[FormulaId, ...]:
+        return tuple(self._store._ids(self._indices))
+
+    @cached_property
+    def steps(self) -> tuple[ProofStep, ...]:
+        steps, theorems = self._pairs, self.theorems
+        for k, (rule, premises) in enumerate(steps):  # frees each pair it replaces
+            steps[k] = ProofStep(theorems[k], rule, premises)
+        object.__setattr__(self, "_pairs", None)
+        return tuple(steps)
+
+    def _key(self) -> tuple:
+        return self.theorems, self.steps, self.generations, self.stats
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EnumerationResult) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def index_of(self, f: FormulaId) -> Optional[int]:
+        if f.store_tag != self._store._tag:
+            return None
         try:
-            return self.theorems.index(f)
+            return self._indices.index(f.index)
         except ValueError:
             return None
 
@@ -389,7 +423,8 @@ class _Saturation:
     """One saturation run over formula indices. Every id it handles was
     issued by `system.store` (checked when the system was built), so the
     loops read the store's columns directly and intern without the
-    checks. Ids and proof steps are built once, when the run returns."""
+    checks. The result keeps the run's index columns; no id or proof step
+    is built here."""
 
     def __init__(self, system: AxiomaticSystem):
         self.system = system
@@ -481,15 +516,23 @@ class _Saturation:
             self.run_case_split(delta)
 
     def run_mp(self, delta: range) -> None:
-        theorems = self.theorems
+        theorems, position = self.theorems, self.position
         pairs = set()
         for j in _positions(IMPLIES, theorems, self.store, delta.start):
-            i = self.position.get(self.lefts[theorems[j]])
+            i = position.get(self.lefts[theorems[j]])
             if i is not None:
                 pairs.add((i, j))
-        for i in delta:
-            for j in self.impl_by_antecedent.get(theorems[i], ()):
-                pairs.add((i, j))
+        # Each i in delta that is the antecedent of an implication j, found
+        # from the smaller side: S9 has 3 antecedents against 100,000 new
+        # theorems, a chain 2,000 against one.
+        by_antecedent = self.impl_by_antecedent
+        if len(by_antecedent) < len(delta):
+            found = [(position.get(a), js) for a, js in by_antecedent.items()]
+        else:
+            found = [(i, by_antecedent.get(theorems[i], ())) for i in delta]
+        for i, implications in found:
+            if i is not None and i >= delta.start:
+                pairs.update((i, j) for j in implications)
         for i, j in sorted(pairs):
             self.applications += 1
             self.offer(self.rights[theorems[j]], RuleKind.MP, (i, j))
@@ -582,37 +625,32 @@ class _Saturation:
     def run(self) -> EnumerationResult:
         self.seed()
         rounds = 0
-        fixed_point = False
         gen_start = 0
+        stop_reason = "max_theorems"
         while not self.truncated and len(self.theorems) < self.system.bounds.max_theorems:
             if rounds >= self.system.bounds.max_generations:
+                stop_reason = "max_generations"
                 break
             delta = range(gen_start, len(self.theorems))
             gen_start = len(self.theorems)
             self.round(delta)
             rounds += 1
             if not self.candidates:
-                fixed_point = True
+                stop_reason = "fixed_point"
                 break
             self.admit_generation(self.generations[-1] + 1 if self.theorems else 1)
-        # Dropped before the ids and steps are built, so they are not part
-        # of the run's peak memory.
-        for index in (self.position, self.upto, self.impl_by_antecedent, self.impl_by_consequent):
-            index.clear()
-        theorems = self.store._ids(self.theorems)
-        steps = self.steps  # each (rule, premises) pair is freed as its step replaces it
-        for k, (rule, premises) in enumerate(steps):
-            steps[k] = ProofStep(theorems[k], rule, premises)
         return EnumerationResult(
-            theorems=tuple(theorems),
-            steps=tuple(steps),
             generations=tuple(self.generations),
             stats=Stats(
                 generations_run=rounds,
-                fixed_point_reached=fixed_point,
+                fixed_point_reached=stop_reason == "fixed_point",
                 rule_applications=self.applications,
                 dedup_hits=self.dedup_hits,
             ),
+            stop_reason=stop_reason,
+            _store=self.store,
+            _indices=tuple(self.theorems),
+            _pairs=self.steps,
         )
 
 
@@ -626,7 +664,11 @@ def saturate(system: AxiomaticSystem) -> EnumerationResult:
     generation theorems are ordered by (size, canonical text), which makes
     the discovery order, the proof steps, and the stats reproducible
     run-to-run. Stops at the fixed point or when a bound is exhausted
-    (reported in stats, never an error).
+    (reported in `stop_reason` and stats, never an error).
+
+    The result's ids and proof steps are built on first read of its
+    `theorems` and `steps`; `gap_report` reads neither, so `gap` never
+    builds a proof step.
 
     The cyclic garbage collector is paused during the run: a run makes
     no reference cycles, so a collection would only walk its growing
@@ -651,10 +693,14 @@ def extract_proof(result: EnumerationResult, goal: FormulaId) -> tuple[ProofStep
 
     Premise indices are rewritten to positions within the returned tuple.
     Raises NotDerived when the goal never made it into the enumeration.
+    Builds the proof's steps only, not the run's.
     """
     target = result.index_of(goal)
     if target is None:
         raise NotDerived("goal is not among the enumerated theorems")
+    pairs = result._pairs
+    if pairs is None:  # the run's steps were read and replaced the pairs
+        pairs = [(step.rule, step.premises) for step in result.steps]
     needed: set[int] = set()
     stack = [target]
     while stack:
@@ -662,16 +708,13 @@ def extract_proof(result: EnumerationResult, goal: FormulaId) -> tuple[ProofStep
         if i in needed:
             continue
         needed.add(i)
-        stack.extend(result.steps[i].premises)
+        stack.extend(pairs[i][1])
     ordered = sorted(needed)
     renumber = {old: new for new, old in enumerate(ordered)}
+    conclusions = result._store._ids(result._indices[old] for old in ordered)
     return tuple(
-        ProofStep(
-            conclusion=result.steps[old].conclusion,
-            rule=result.steps[old].rule,
-            premises=tuple(renumber[p] for p in result.steps[old].premises),
-        )
-        for old in ordered
+        ProofStep(conclusion, pairs[old][0], tuple(renumber[p] for p in pairs[old][1]))
+        for conclusion, old in zip(conclusions, ordered)
     )
 
 
@@ -691,7 +734,9 @@ def check_proof(
     conclusion must be reproduced by apply_rule on its premises.
     """
     axioms = set(system.axioms)
-    universe = system.universe()
+    # Only OR_INTRO and LEM_AXIOM steps range over the universe.
+    ranging = any(step.rule in (RuleKind.OR_INTRO, RuleKind.LEM_AXIOM) for step in steps)
+    universe = system.universe() if ranging else ()
     lem_instances: Optional[frozenset[FormulaId]] = None
     for i, step in enumerate(steps):
         for p in step.premises:

@@ -124,7 +124,6 @@ class FormulaStore:
         self._sizes: list[int] = []
         self._names: dict[int, str] = {}  # atom index -> name
         self._texts: list[Optional[str]] = []  # render cache; None until rendered
-        self._id_cache: list[Optional[FormulaId]] = []  # see _ids; None until requested
         self._tables: tuple[dict, ...] = ({}, {}, {}, {}, {})  # indexed by kind
 
     def __len__(self) -> int:
@@ -162,31 +161,17 @@ class FormulaStore:
             return Not(self._id(self._lefts[i]))
         return _NODE_TYPES[kind](self._id(self._lefts[i]), self._id(self._rights[i]))
 
-    # An id is built on first request and kept, so the ids handed out for
-    # one node, by several runs over the store among others, are shared.
+    # tuple.__new__ over an (index, tag) pair builds a FormulaId in C, twice
+    # as fast as calling the NamedTuple's Python-level __new__.
 
     def _id(self, i: int) -> FormulaId:
         """This store's id for index `i`."""
-        cache = self._id_cache
-        if i >= len(cache):
-            cache += [None] * (len(self._kinds) - len(cache))
-        f = cache[i]
-        if f is None:
-            f = cache[i] = FormulaId(i, self._tag)
-        return f
+        return tuple.__new__(FormulaId, (i, self._tag))
 
     def _ids(self, indices: Iterable[int]) -> list[FormulaId]:
         """This store's ids for `indices`, in bulk."""
-        indices = list(indices)
-        cache = self._id_cache
-        cache += [None] * (len(self._kinds) - len(cache))
-        new = [i for i in indices if cache[i] is None]
-        # tuple.__new__ over (index, tag) pairs builds each FormulaId in C,
-        # twice as fast as calling the NamedTuple's Python-level __new__.
-        pairs = zip(new, itertools.repeat(self._tag))
-        for i, f in zip(new, map(tuple.__new__, itertools.repeat(FormulaId), pairs)):
-            cache[i] = f
-        return list(map(cache.__getitem__, indices))
+        pairs = zip(indices, itertools.repeat(self._tag))
+        return list(map(tuple.__new__, itertools.repeat(FormulaId), pairs))
 
     def _add(self, kind: int, key: object, left: int, right: int, node_size: int) -> int:
         i = self._tables[kind][key] = len(self._kinds)
@@ -524,12 +509,6 @@ def render(f: FormulaId, store: FormulaStore) -> str:
     if f.index < len(store._texts) and (text := store._texts[f.index]) is not None:
         return text
     return _fill_texts((f.index,), store)[f.index]
-
-
-def _render_all(fs: Iterable[FormulaId], store: FormulaStore) -> list[str]:
-    """The text of each formula of `fs`: `render` in bulk."""
-    indices = _indices(fs, store)
-    return list(map(_fill_texts(indices, store).__getitem__, indices))
 
 
 def _sort_canonical(indices: list[int], store: FormulaStore) -> None:

@@ -20,8 +20,8 @@ from .engine import (
     RuleKind,
     saturate,
 )
-from .formula import IMPLIES, NOT, FormulaId, FormulaStore, _indices, _lbi_shapes, _positions
-from .formula import _render_all, parse, render
+from .formula import IMPLIES, NOT, FormulaId, FormulaStore, _fill_texts, _lbi_shapes, _positions
+from .formula import parse, render
 from .oracle import entails, independent
 
 __all__ = [
@@ -100,16 +100,19 @@ def lbi_accepted(result: EnumerationResult, store: FormulaStore) -> tuple[LbiWit
     (conclusion, pivot, mode) and sorted by canonical text so the output
     does not depend on discovery order. Interns nothing.
     """
-    theorems = _indices(result.theorems, store)
+    assert result._store is store, "EnumerationResult belongs to a different store"
+    theorems = result._indices
+    # Both patterns read implications only: their positions, walked once.
+    positions = list(_positions(IMPLIES, theorems, store))
+    implications = [theorems[j] for j in positions]
     # (conclusion, pivot, mode) -> source positions, first witness kept.
     found: dict[tuple[int, int, WitnessMode], tuple[int, ...]] = {}
-    for i, pivot, conclusion in _lbi_shapes(theorems, store):
-        found.setdefault((conclusion, pivot, WitnessMode.EQ1_SHAPE), (i,))
+    for k, pivot, conclusion in _lbi_shapes(implications, store):
+        found.setdefault((conclusion, pivot, WitnessMode.EQ1_SHAPE), (positions[k],))
 
     kinds, lefts, rights = store.kinds, store.lefts, store.rights
-    position = {f: i for i, f in enumerate(theorems)}
-    for j in _positions(IMPLIES, theorems, store):
-        f = theorems[j]
+    position = dict(zip(implications, positions))
+    for f, j in position.items():
         if kinds[lefts[f]] != NOT:
             continue
         pivot, conclusion = lefts[lefts[f]], rights[f]
@@ -154,7 +157,7 @@ def gap_report(
     store = system.store
     result = saturate(system)
     witnesses = lbi_accepted(result, store)
-    enumerated = {f.index for f in result.theorems}
+    enumerated = set(result._indices)
 
     by_conclusion: dict[FormulaId, list[LbiWitness]] = {}
     for w in witnesses:
@@ -182,7 +185,7 @@ def gap_report(
     gap_closed = None
     if close_with is not None:
         closure = saturate(system.with_rules(system.rules | {close_with}))
-        closed = {f.index for f in closure.theorems}
+        closed = set(closure._indices)
         gap_closed = all(m.conclusion.index in closed for m in members)
 
     return GapReport(
@@ -250,8 +253,10 @@ def demo_family(n: int) -> AxiomaticSystem:
 # ---------------------------------------------------------------------------
 
 def _run_document(result: EnumerationResult, store: FormulaStore) -> dict:
+    assert result._store is store, "EnumerationResult belongs to a different store"
+    indices = result._indices
     return {
-        "theorems": _render_all(result.theorems, store),
+        "theorems": list(map(_fill_texts(indices, store).__getitem__, indices)),
         "stats": asdict(result.stats),
     }
 

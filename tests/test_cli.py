@@ -265,6 +265,21 @@ def test_prove_not_derived_within_bounds(capsys, tmp_path):
     assert "not derived within bounds" in err
 
 
+@pytest.mark.parametrize(
+    "bounds, reason",
+    [({"max_generations": 1}, "max_generations"), ({"max_theorems": 3}, "max_theorems")],
+)
+def test_text_output_names_the_bound_that_stopped_the_run(capsys, tmp_path, bounds, reason):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"axioms": ["a", "a -> b", "b -> c"], "bounds": bounds}))
+    code, out, _ = run(capsys, "enumerate", "--system", str(path))
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"{reason} reached after ")
+    code, _, err = run(capsys, "prove", "--system", str(path), "--goal", "c")
+    assert code == 3
+    assert f"goal not derived within bounds ({reason})" in err
+
+
 def test_prove_eq1_with_lbi_rule(capsys, tmp_path):
     path = tmp_path / "lbi.json"
     path.write_text(json.dumps({"axioms": ["(p | ~p) -> q"], "rules": ["MP", "LBI_RULE"]}))

@@ -557,6 +557,63 @@ def test_index_of_matches_theorem_positions():
     assert result.index_of(parse("r -> p", system.store)) is None
 
 
+def test_index_of_an_id_from_another_store_is_none():
+    system = mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q"))
+    result = saturate(system)
+    other = FormulaStore()
+    parse("p -> q", other)
+    # Index 0 is `p` in both stores, so only the store tells them apart.
+    assert parse("p", other).index == result.index_of(parse("p", system.store)) == 0
+    assert result.index_of(parse("p", other)) is None
+
+
+def test_extract_proof_chain_steps_before_and_after_reading_the_run_steps():
+    system = mk_system(
+        ["a", "a -> b", "b -> c", "c -> d", "x"], [RuleKind.MP], atoms=("a", "b", "c", "d", "x")
+    )
+    store = system.store
+    result = saturate(system)
+    expected = [
+        ("a", "AXIOM", ()), ("a -> b", "AXIOM", ()), ("b -> c", "AXIOM", ()),
+        ("c -> d", "AXIOM", ()), ("b", "MP", (0, 1)), ("c", "MP", (4, 2)), ("d", "MP", (5, 3)),
+    ]
+    goal = parse("d", store)
+    before = extract_proof(result, goal)
+    assert [(render(s.conclusion, store), s.rule_name, s.premises) for s in before] == expected
+    result.steps  # replaces the run's (rule, premises) pairs
+    assert extract_proof(result, goal) == before
+    assert check_proof(before, system) is None
+
+
+def test_results_compare_by_value_and_are_read_only():
+    system = mk_system(["p", "p -> q", "q -> r"], [RuleKind.MP], atoms=("p", "q", "r"))
+    first, second = saturate(system), saturate(system)
+    assert first == second and hash(first) == hash(second)
+    # Ids of another store never equal this store's, so neither do the runs.
+    assert first != saturate(mk_system(["p", "p -> q", "q -> r"], [RuleKind.MP], atoms="pqr"))
+    assert first != saturate(replace(system, bounds=Bounds(max_generations=1)))
+    with pytest.raises(AttributeError):
+        first.theorems = ()
+    with pytest.raises(AttributeError):
+        first.steps = ()
+    assert [render(f, system.store) for f in first.theorems] == ["p", "p -> q", "q -> r", "q", "r"]
+
+
+@pytest.mark.parametrize(
+    "axioms, rules, bounds, reason",
+    [
+        (["p", "p -> q"], [RuleKind.MP], {}, "fixed_point"),
+        (["a", "a -> b", "b -> c"], [RuleKind.MP], {"max_generations": 1}, "max_generations"),
+        (["p", "q"], [RuleKind.AND_INTRO], {"max_theorems": 3}, "max_theorems"),
+    ],
+    ids=["fixed-point", "max-generations", "max-theorems"],
+)
+def test_stop_reason_names_what_ended_the_run(axioms, rules, bounds, reason):
+    result = saturate(mk_system(axioms, rules, **bounds))
+    assert result.stop_reason == reason
+    assert result.stats.fixed_point_reached is (reason == "fixed_point")
+
+
 # --- golden proof steps --------------------------------------------------------
 
 # The S9 benchmark system; the pins below run it at sizes 7 and 9. Each pin
@@ -570,6 +627,11 @@ S9_DOC = {
 }
 
 
+# The pins of the plain S7 run and of its LBI_RULE closure.
+S7_DIGEST = "e41570c4da16246555ad14be365fada108f4ef1e71b127c4201b4462e721baca"
+S7_LBI_DIGEST = "4f02ef1bf5cc2ff757fbba79f46ff2708f525c443066070e8461c8ca864742c1"
+
+
 def steps_digest(result, store):
     digest = hashlib.sha256()
     for step in result.steps:
@@ -581,18 +643,12 @@ def steps_digest(result, store):
 @pytest.mark.parametrize(
     "extra_axioms, extra_rules, bounds, digest, stats",
     [
-        ((), (), {"max_formula_size": 7},
-         "e41570c4da16246555ad14be365fada108f4ef1e71b127c4201b4462e721baca",
-         Stats(7, True, 15188, 5952)),
-        ((), ("LBI_RULE",), {"max_formula_size": 7},
-         "4f02ef1bf5cc2ff757fbba79f46ff2708f525c443066070e8461c8ca864742c1",
-         Stats(6, True, 15189, 5953)),
+        ((), (), {"max_formula_size": 7}, S7_DIGEST, Stats(7, True, 15188, 5952)),
+        ((), ("LBI_RULE",), {"max_formula_size": 7}, S7_LBI_DIGEST, Stats(6, True, 15189, 5953)),
         # No `x -> y`, `~x -> y` pair ever appears in S7, so CASE_SPLIT never
         # fires and the steps equal the base run's; the next two pins add
         # `s -> r`, which gives CASE_SPLIT one step and LEM_AXIOM six.
-        ((), ("CASE_SPLIT",), {"max_formula_size": 7},
-         "e41570c4da16246555ad14be365fada108f4ef1e71b127c4201b4462e721baca",
-         Stats(7, True, 15188, 5952)),
+        ((), ("CASE_SPLIT",), {"max_formula_size": 7}, S7_DIGEST, Stats(7, True, 15188, 5952)),
         (("s -> r",), ("CASE_SPLIT",), {"max_formula_size": 7},
          "c588cce960fff830847d8cbbbbf93284db041d13663dde75e8669072e4217902",
          Stats(6, True, 15929, 6244)),
@@ -618,6 +674,16 @@ def test_saturate_proof_steps_are_pinned(extra_axioms, extra_rules, bounds, dige
     result = saturate(system)
     assert steps_digest(result, system.store) == digest
     assert result.stats == stats
+
+
+def test_gap_report_builds_no_steps_and_reads_the_pinned_ones_later():
+    system = load_system(json.dumps({**S9_DOC, "bounds": {"max_formula_size": 7}}))
+    report = gap_report(system, RuleKind.LBI_RULE)
+    for run in (report.enumerated, report.closure):
+        assert "theorems" not in vars(run) and "steps" not in vars(run)
+    assert steps_digest(report.enumerated, system.store) == S7_DIGEST
+    assert steps_digest(report.closure, system.store) == S7_LBI_DIGEST
+    assert report.enumerated.stats == Stats(7, True, 15188, 5952)
 
 
 # --- the cyclic collector ------------------------------------------------------

@@ -75,6 +75,13 @@ def test_lbi_accepted_both_modes_reported():
     assert modes == {WitnessMode.EQ1_SHAPE, WitnessMode.TWO_BRANCH}
 
 
+def test_lbi_accepted_rejects_a_result_of_another_store():
+    system = demo_system(DemoVariant.EQ1)
+    result = saturate(system)
+    with pytest.raises(AssertionError):
+        lbi_accepted(result, demo_system(DemoVariant.EQ1).store)
+
+
 def test_queries_leave_the_store_unchanged():
     # `~r -> q` makes lbi_accepted look up `r -> q`, which was never
     # interned, and the gap member q makes gap_report ask the oracle and
