@@ -12,7 +12,7 @@ import enum
 import gc
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -20,7 +20,6 @@ from .formula import (
     AND,
     ATOM_NAME,
     IMPLIES,
-    NOT,
     OR,
     And,
     FormulaId,
@@ -28,16 +27,17 @@ from .formula import (
     Implies,
     Not,
     ParseError,
+    _case_splits,
+    _closure,
+    _indices,
     _lbi_shapes,
     _positions,
     _sort_canonical,
     atoms_of,
-    canonical_order,
     match_lbi_shape,
     parse,
     render,
     size,
-    subformula_closure,
 )
 
 __all__ = [
@@ -113,8 +113,8 @@ class Bounds:
     max_theorems: int = 100_000
 
     def __post_init__(self) -> None:
-        for name in ("max_formula_size", "max_generations", "max_theorems"):
-            if getattr(self, name) < 1:
+        for name, value in asdict(self).items():
+            if value < 1:
                 raise ConfigError(f"bounds.{name}", "must be a positive integer")
 
 
@@ -156,9 +156,12 @@ class AxiomaticSystem:
                     )
 
     def universe(self) -> tuple[FormulaId, ...]:
-        """Side-formula universe in canonical (size, text) order."""
-        closure = subformula_closure((*self.axioms, *self.side_formulas), self.store)
-        return tuple(canonical_order(closure, self.store))
+        """Side-formula universe: the subformula closure of the axioms and
+        side formulas, in canonical (size, text) order."""
+        store = self.store
+        closure = list(_closure(_indices((*self.axioms, *self.side_formulas), store), store))
+        _sort_canonical(closure, store)
+        return tuple(store._ids(closure))
 
     def with_rules(self, rules: Iterable[RuleKind]) -> AxiomaticSystem:
         return replace(self, rules=frozenset(rules))
@@ -248,7 +251,7 @@ class EnumerationResult:
 # ---------------------------------------------------------------------------
 
 _DOCUMENT_KEYS = {"atoms", "axioms", "rules", "side_formulas", "bounds"}
-_BOUNDS_KEYS = {"max_formula_size", "max_generations", "max_theorems"}
+_BOUNDS_KEYS = tuple(f.name for f in fields(Bounds))
 
 
 def _parse_formula_list(
@@ -267,7 +270,7 @@ def _parse_formula_list(
     return tuple(out)
 
 
-def load_system(text: str, store: Optional[FormulaStore] = None) -> AxiomaticSystem:
+def load_system(text: str) -> AxiomaticSystem:
     """Load and validate a JSON system document.
 
     Unknown keys are rejected. Defaults: rules {MP}; bounds 12 / 50 /
@@ -283,7 +286,7 @@ def load_system(text: str, store: Optional[FormulaStore] = None) -> AxiomaticSys
         if key not in _DOCUMENT_KEYS:
             raise ConfigError(key, "unknown key")
 
-    store = store if store is not None else FormulaStore()
+    store = FormulaStore()
     axioms = _parse_formula_list(doc.get("axioms", []), "axioms", store)
     side = _parse_formula_list(doc.get("side_formulas", []), "side_formulas", store)
 
@@ -340,11 +343,7 @@ def system_document(system: AxiomaticSystem) -> dict:
         "axioms": [render(f, system.store) for f in system.axioms],
         "rules": [r.value for r in RuleKind if r in system.rules],
         "side_formulas": [render(f, system.store) for f in system.side_formulas],
-        "bounds": {
-            "max_formula_size": system.bounds.max_formula_size,
-            "max_generations": system.bounds.max_generations,
-            "max_theorems": system.bounds.max_theorems,
-        },
+        "bounds": asdict(system.bounds),
     }
 
 
@@ -424,7 +423,14 @@ class _Saturation:
     issued by `system.store` (checked when the system was built), so the
     loops read the store's columns directly and intern without the
     checks. The result keeps the run's index columns; no id or proof step
-    is built here."""
+    is built here.
+
+    `admit_generation` finds the positions of each new generation's
+    implications once; the rules that read implications take them from
+    there. CASE_SPLIT finds its partner premise with `_case_splits`, the
+    matcher `gap.lbi_accepted` uses too, by a lookup in the store's
+    tables; `apply_rule` stays the independent definition that
+    `check_proof` replays."""
 
     def __init__(self, system: AxiomaticSystem):
         self.system = system
@@ -446,7 +452,9 @@ class _Saturation:
         # a larger budget too. Kept only when AND_INTRO is enabled.
         self.upto: list[list[int]] = [[]] if RuleKind.AND_INTRO in self.rules else []
         self.impl_by_antecedent: dict[int, list[int]] = {}
-        self.impl_by_consequent: dict[int, list[int]] = {}
+        # Positions of the newest generation's implications, the premises
+        # MP, LBI_RULE and CASE_SPLIT look for: found once, on admission.
+        self.new_implications: list[int] = []
         self.applications = 0
         self.dedup_hits = 0
         self.truncated = False
@@ -483,10 +491,9 @@ class _Saturation:
                 self.upto.append(self.upto[-1].copy())
             for budget, bucket in enumerate(self.upto):
                 bucket += range(first, first + bisect_right(ordered_sizes, budget))
-        for k in _positions(IMPLIES, ordered, self.store):
-            f = ordered[k]
-            self.impl_by_antecedent.setdefault(self.lefts[f], []).append(first + k)
-            self.impl_by_consequent.setdefault(self.rights[f], []).append(first + k)
+        self.new_implications = list(_positions(IMPLIES, self.theorems, self.store, first))
+        for j in self.new_implications:
+            self.impl_by_antecedent.setdefault(self.lefts[self.theorems[j]], []).append(j)
 
     def seed(self) -> None:
         for ax in self.system.axioms:
@@ -518,7 +525,7 @@ class _Saturation:
     def run_mp(self, delta: range) -> None:
         theorems, position = self.theorems, self.position
         pairs = set()
-        for j in _positions(IMPLIES, theorems, self.store, delta.start):
+        for j in self.new_implications:
             i = position.get(self.lefts[theorems[j]])
             if i is not None:
                 pairs.add((i, j))
@@ -597,28 +604,14 @@ class _Saturation:
         self.dedup_hits += dedup_hits
 
     def run_lbi(self, delta: range) -> None:
-        for i, _, conclusion in _lbi_shapes(self.theorems, self.store, delta.start):
+        for i, _, conclusion in _lbi_shapes(self.theorems, self.new_implications, self.store):
             self.applications += 1
             self.offer(conclusion, RuleKind.LBI_RULE, (i,))
 
     def run_case_split(self, delta: range) -> None:
-        theorems, kinds, lefts = self.theorems, self.store.kinds, self.lefts
-        pairs = set()
-        for k in _positions(IMPLIES, theorems, self.store, delta.start):
-            f = theorems[k]
-            partners = self.impl_by_consequent.get(self.rights[f], ())
-            # New theorem as the x -> y premise.
-            for j in partners:
-                ant = lefts[theorems[j]]
-                if kinds[ant] == NOT and lefts[ant] == lefts[f]:
-                    pairs.add((k, j))
-            # New theorem as the ~x -> y premise.
-            ant = lefts[f]
-            if kinds[ant] == NOT:
-                for j in partners:
-                    if lefts[theorems[j]] == lefts[ant]:
-                        pairs.add((j, k))
-        for i, j in sorted(pairs):
+        theorems = self.theorems
+        pairs = _case_splits(theorems, self.new_implications, self.position, self.store)
+        for i, j in sorted(set(pairs)):
             self.applications += 1
             self.offer(self.rights[theorems[i]], RuleKind.CASE_SPLIT, (i, j))
 

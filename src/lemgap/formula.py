@@ -12,7 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Atom",
@@ -286,12 +286,13 @@ def _positions(kind: int, fs: Sequence[int], store: FormulaStore, start: int = 0
 
 
 def _lbi_shapes(
-    fs: Sequence[int], store: FormulaStore, start: int = 0
+    fs: Sequence[int], implications: Iterable[int], store: FormulaStore
 ) -> Iterator[tuple[int, int, int]]:
-    """(position, pivot, conclusion) for each formula of `fs`, from `start`
-    on, that reads `(x | ~x) -> y` or `(~x | x) -> y`."""
+    """(position, pivot, conclusion) for each of the given positions of
+    implications in `fs` whose formula reads `(x | ~x) -> y` or
+    `(~x | x) -> y`."""
     kinds, lefts, rights = store._kinds, store._lefts, store._rights
-    for position in _positions(IMPLIES, fs, store, start):
+    for position in implications:
         f = fs[position]
         ant = lefts[f]
         if kinds[ant] != OR:
@@ -303,6 +304,34 @@ def _lbi_shapes(
             yield position, right, rights[f]
 
 
+def _case_splits(
+    fs: Sequence[int], implications: Iterable[int], position: Mapping[int, int], store: FormulaStore
+) -> Iterator[tuple[int, int]]:
+    """(i, j) for each pair of formulas of `fs` reading `x -> y` at i and
+    `~x -> y` at j, where i or j is one of the given positions of
+    implications; a pair whose positions are both given comes twice.
+
+    `position` maps formulas to their positions in `fs`. The partner is
+    looked up in the store's hash-consing tables, so a partner that was
+    never interned cannot be a formula of `fs`, and nothing is interned.
+    """
+    kinds, lefts, rights, lookup = store._kinds, store._lefts, store._rights, store._lookup
+    for k in implications:
+        f = fs[k]
+        ant, consequent = lefts[f], rights[f]
+        # fs[k] as the x -> y premise.
+        neg = lookup(NOT, ant)
+        if neg is not None:
+            j = position.get(lookup(IMPLIES, neg, consequent))
+            if j is not None:
+                yield k, j
+        # fs[k] as the ~x -> y premise.
+        if kinds[ant] == NOT:
+            i = position.get(lookup(IMPLIES, lefts[ant], consequent))
+            if i is not None:
+                yield i, k
+
+
 def match_lbi_shape(f: FormulaId, store: FormulaStore) -> Optional[tuple[FormulaId, FormulaId]]:
     """Match `(x | ~x) -> y` or `(~x | x) -> y`; return (pivot, conclusion).
 
@@ -310,7 +339,8 @@ def match_lbi_shape(f: FormulaId, store: FormulaStore) -> Optional[tuple[Formula
     negation, in either order. Deep equivalences (e.g. `~~x` vs `x`) do
     not match.
     """
-    for _, pivot, conclusion in _lbi_shapes(_indices((f,), store), store):
+    fs = _indices((f,), store)
+    for _, pivot, conclusion in _lbi_shapes(fs, _positions(IMPLIES, fs, store), store):
         return store._id(pivot), store._id(conclusion)
     return None
 

@@ -20,8 +20,8 @@ from .engine import (
     RuleKind,
     saturate,
 )
-from .formula import IMPLIES, NOT, FormulaId, FormulaStore, _fill_texts, _lbi_shapes, _positions
-from .formula import parse, render
+from .formula import IMPLIES, NOT, FormulaId, FormulaStore, _case_splits, _fill_texts, _lbi_shapes
+from .formula import _positions, parse, render
 from .oracle import entails, independent
 
 __all__ = [
@@ -95,31 +95,28 @@ class GapReport:
 def lbi_accepted(result: EnumerationResult, store: FormulaStore) -> tuple[LbiWitness, ...]:
     """All excluded-middle acceptances visible in an enumeration.
 
-    Scans every theorem for the `(x | ~x) -> y` shape and every theorem
-    pair for `{x -> y, ~x -> y}`. Witnesses are deduplicated by
-    (conclusion, pivot, mode) and sorted by canonical text so the output
-    does not depend on discovery order. Interns nothing.
+    Reads the run's implications only. An EQ1_SHAPE witness is a theorem
+    `(x | ~x) -> y` or `(~x | x) -> y` (`formula._lbi_shapes`, which
+    LBI_RULE applies too); a TWO_BRANCH witness is a theorem pair
+    `x -> y`, `~x -> y`, matched by `formula._case_splits`, the matcher
+    CASE_SPLIT runs, so the two cannot drift apart. Witnesses are
+    deduplicated by (conclusion, pivot, mode), the first (lowest) source
+    positions kept, and sorted by canonical text so the output does not
+    depend on discovery order. Interns nothing.
     """
     assert result._store is store, "EnumerationResult belongs to a different store"
     theorems = result._indices
     # Both patterns read implications only: their positions, walked once.
     positions = list(_positions(IMPLIES, theorems, store))
-    implications = [theorems[j] for j in positions]
     # (conclusion, pivot, mode) -> source positions, first witness kept.
     found: dict[tuple[int, int, WitnessMode], tuple[int, ...]] = {}
-    for k, pivot, conclusion in _lbi_shapes(implications, store):
-        found.setdefault((conclusion, pivot, WitnessMode.EQ1_SHAPE), (positions[k],))
-
-    kinds, lefts, rights = store.kinds, store.lefts, store.rights
-    position = dict(zip(implications, positions))
-    for f, j in position.items():
-        if kinds[lefts[f]] != NOT:
-            continue
-        pivot, conclusion = lefts[lefts[f]], rights[f]
-        # x -> y can be a theorem only if it was ever interned.
-        i = position.get(store._lookup(IMPLIES, pivot, conclusion))
-        if i is not None:
-            found.setdefault((conclusion, pivot, WitnessMode.TWO_BRANCH), (i, j))
+    for j, pivot, conclusion in _lbi_shapes(theorems, positions, store):
+        found.setdefault((conclusion, pivot, WitnessMode.EQ1_SHAPE), (j,))
+    lefts, rights = store.lefts, store.rights
+    position = {theorems[j]: j for j in positions}
+    for i, j in _case_splits(theorems, positions, position, store):
+        f = theorems[i]
+        found.setdefault((rights[f], lefts[f], WitnessMode.TWO_BRANCH), (i, j))
 
     witnesses = []
     for (conclusion, pivot, mode), sources in found.items():

@@ -105,6 +105,11 @@ def test_load_system_bounds_validation():
         load_system('{"axioms": [], "bounds": {"weird": 3}}')
     with pytest.raises(ConfigError):
         load_system('{"axioms": [], "bounds": {"max_theorems": "lots"}}')
+    # With several bad bounds the first in `Bounds` field order is named,
+    # whatever the hash seed.
+    with pytest.raises(ConfigError) as err:
+        load_system('{"bounds": {"max_theorems": "lots", "max_formula_size": "big"}}')
+    assert err.value.field == "bounds.max_formula_size"
 
 
 def test_load_system_undeclared_atom():
@@ -435,6 +440,36 @@ def test_saturate_shrinking_and_growing_rules_terminate():
         "a & (a & a)", "a", "a & a", "a & a & a",
     }
     assert set(result.theorems) == naive_closure(system)
+
+
+def test_saturate_case_split_partner_from_an_earlier_generation():
+    # One branch is an axiom, the other comes out of MP a generation
+    # later, so the new theorem must find its partner on either side.
+    for axioms, late in (
+        (["p -> y", "q", "q -> ~p -> y"], "~p -> y"),
+        (["~p -> y", "q", "q -> p -> y"], "p -> y"),
+    ):
+        system = mk_system(axioms, [RuleKind.MP, RuleKind.CASE_SPLIT], atoms=("p", "q", "y"))
+        store = system.store
+        result = saturate(system)
+        texts = theorem_texts(result, store)
+        assert result.generations[texts.index(late)] == 1
+        k = texts.index("y")
+        assert result.steps[k].rule is RuleKind.CASE_SPLIT
+        assert [texts[i] for i in result.steps[k].premises] == ["p -> y", "~p -> y"]
+        assert check_proof(extract_proof(result, parse("y", store)), system) is None
+
+
+def test_saturate_case_split_without_partners_derives_and_interns_nothing():
+    # Neither `~a -> y` nor `b -> y` was ever interned, and `~a` was not
+    # either: the partner lookups find nothing and add no node.
+    system = mk_system(["a -> y", "~b -> y"], [RuleKind.CASE_SPLIT], atoms=("a", "b", "y"))
+    before = len(system.store)
+    result = saturate(system)
+    assert theorem_texts(result, system.store) == ["a -> y", "~b -> y"]
+    assert result.stats.rule_applications == 0
+    assert result.stats.fixed_point_reached is True
+    assert len(system.store) == before
 
 
 def test_saturate_compound_pivot_case_split():

@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import itertools
 import json
+import random
 
 import pytest
 
-from lemgap.engine import RuleKind, load_system, saturate, system_document
-from lemgap.formula import render
+from lemgap.engine import (
+    AxiomaticSystem,
+    Bounds,
+    RuleKind,
+    apply_rule,
+    load_system,
+    saturate,
+    system_document,
+)
+from lemgap.formula import FormulaStore, Not, render, size
 from lemgap.gap import (
     DemoVariant,
     PreconditionViolated,
@@ -18,7 +28,7 @@ from lemgap.gap import (
 )
 from lemgap.oracle import entails, independent
 
-from support import naive_closure
+from support import naive_closure, random_formula, random_system
 
 from test_engine import mk_system, theorem_texts
 
@@ -80,6 +90,87 @@ def test_lbi_accepted_rejects_a_result_of_another_store():
     result = saturate(system)
     with pytest.raises(AssertionError):
         lbi_accepted(result, demo_system(DemoVariant.EQ1).store)
+
+
+def _eq1_pivot(t, store):
+    """The pivot x of a theorem reading `(x | ~x) -> y` or `(~x | x) -> y`."""
+    disjunction = store.node(store.node(t).antecedent)
+    if store.node(disjunction.right) == Not(disjunction.left):
+        return disjunction.left
+    return disjunction.right
+
+
+def _accepted_by_apply_rule(result, store):
+    """(conclusion, pivot, mode) triples accepted by the run's theorems,
+    by brute force: apply_rule's LBI_RULE on every theorem and its
+    CASE_SPLIT on every ordered theorem pair."""
+    theorems = result.theorems
+    out = set()
+    for t in theorems:
+        for conclusion in apply_rule(RuleKind.LBI_RULE, (t,), store):
+            out.add((conclusion, _eq1_pivot(t, store), WitnessMode.EQ1_SHAPE))
+    for first, second in itertools.product(theorems, repeat=2):
+        for conclusion in apply_rule(RuleKind.CASE_SPLIT, (first, second), store):
+            out.add((conclusion, store.node(first).antecedent, WitnessMode.TWO_BRANCH))
+    return out
+
+
+def _planted_system(rng):
+    """Axioms `x -> y`, `~x -> y`, `(x | ~x) -> y` and `(~x | x) -> y` for
+    random x and y, in random order, with a random extra axiom."""
+    store = FormulaStore()
+    atoms = ("a", "b", "c")
+    x = random_formula(rng, atoms, rng.randint(1, 3), store)
+    y = random_formula(rng, atoms, rng.randint(1, 2), store)
+    not_x = store.neg(x)
+    axioms = [
+        store.impl(x, y),
+        store.impl(not_x, y),
+        store.impl(store.disj(x, not_x), y),
+        store.impl(store.disj(not_x, x), y),
+        random_formula(rng, atoms, rng.randint(1, 4), store),
+    ]
+    rng.shuffle(axioms)
+    optional = (RuleKind.AND_ELIM_L, RuleKind.AND_ELIM_R)
+    rules = {RuleKind.MP} | {r for r in optional if rng.random() < 0.5}
+    return AxiomaticSystem(
+        store=store,
+        atoms=atoms,
+        axioms=tuple(axioms),
+        rules=frozenset(rules),
+        bounds=Bounds(max_formula_size=max(size(f, store) for f in axioms)),
+    )
+
+
+def test_lbi_accepted_matches_apply_rule_brute_force():
+    rng = random.Random(97)
+    systems = [random_system(rng) for _ in range(40)] + [_planted_system(rng) for _ in range(40)]
+    two_branch = 0
+    for system in systems:
+        store = system.store
+        result = saturate(system)
+        theorems = result.theorems
+        witnesses = lbi_accepted(result, store)
+        got = {(w.conclusion, w.pivot, w.mode) for w in witnesses}
+        assert len(got) == len(witnesses)
+        assert got == _accepted_by_apply_rule(result, store)
+        for w in witnesses:
+            premises = tuple(theorems[k] for k in w.source_indices)
+            if w.mode is WitnessMode.EQ1_SHAPE:
+                assert apply_rule(RuleKind.LBI_RULE, premises, store) == {w.conclusion}
+                assert _eq1_pivot(premises[0], store) == w.pivot
+                lowest = min(
+                    k for k, t in enumerate(theorems)
+                    if apply_rule(RuleKind.LBI_RULE, (t,), store) == {w.conclusion}
+                    and _eq1_pivot(t, store) == w.pivot
+                )
+                assert w.source_indices == (lowest,)
+            else:
+                two_branch += 1
+                assert apply_rule(RuleKind.CASE_SPLIT, premises, store) == {w.conclusion}
+                assert store.node(premises[0]).antecedent == w.pivot
+    # The planted systems give every planted pair a witness.
+    assert two_branch >= 40
 
 
 def test_queries_leave_the_store_unchanged():
