@@ -3,9 +3,10 @@
 Commands: parse, classify, enumerate, prove, gap, demo. Results go to
 stdout (text or machine-readable JSON, `--format`); diagnostics go to
 stderr. Exit codes: 0 success, 1 usage/config error (including a
-system file over MAX_SYSTEM_BYTES, 1 MiB, or not valid UTF-8), 2 formula
-parse error (including a formula argument over MAX_FORMULA_BYTES,
-16 KiB), 3 goal not derived, 4 oracle atom limit exceeded.
+system file over MAX_SYSTEM_BYTES, 1 MiB, or not valid UTF-8, and a
+formula in it over MAX_FORMULA_BYTES, 16 KiB), 2 formula parse error
+(including a formula argument over MAX_FORMULA_BYTES), 3 goal not
+derived, 4 oracle atom limit exceeded.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ import functools
 import json
 import sys
 from dataclasses import asdict, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .engine import (
+    MAX_FORMULA_BYTES,
     AxiomaticSystem,
     ConfigError,
     EnumerationResult,
     NotDerived,
     ProofStep,
     RuleKind,
+    _formula_too_long,
     check_proof,
     extract_proof,
     load_system,
@@ -47,9 +50,6 @@ EXIT_PARSE = 2
 EXIT_NOT_DERIVED = 3
 EXIT_ORACLE_LIMIT = 4
 
-# Longest formula argument, in UTF-8 bytes. Rendering caches the text of
-# every subformula, so memory grows with size times depth; this bounds it.
-MAX_FORMULA_BYTES = 16_384
 # Largest system file, in bytes; bounds what loading a system can parse.
 MAX_SYSTEM_BYTES = 1 << 20
 
@@ -65,16 +65,84 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(doc: dict) -> None:
-    # Streams the same bytes as print(json.dumps(doc, indent=2)) without
-    # holding the whole document as one string.
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+_quote = json.encoder.encode_basestring_ascii
+# JSON text of each scalar type, by exact type.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+# Items of a list encoded, and written, at a time.
+_CHUNK = 4096
+
+
+def _encode(value: object, newline: str, pieces: list[str], out: TextIO) -> None:
+    """Append the JSON text of `value` to `pieces`, laid out as
+    `json.dumps(value, indent=2)` lays it out; `newline` is a newline plus
+    the current indent. A full chunk of list items is written to `out`.
+    Raises TypeError on any type but dict, list, str, int, bool and None,
+    and on a key that is not a str."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        pieces.append(scalar(value))
+    elif type(value) is list:
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        pieces.append("[" + inner)
+        for start in range(0, len(value), _CHUNK):
+            chunk = value[start:start + _CHUNK]
+            if start:
+                pieces.append(separator)
+            if {str}.issuperset(map(type, chunk)):
+                pieces.append(separator.join(map(_quote, chunk)))
+            else:
+                for k, item in enumerate(chunk):
+                    if k:
+                        pieces.append(separator)
+                    _encode(item, inner, pieces, out)
+            if len(chunk) == _CHUNK:
+                out.write("".join(pieces))
+                pieces.clear()
+        pieces.append(newline + "]")
+    elif type(value) is dict:
+        if not value:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            pieces.append(opening + _quote(key) + ": ")
+            opening = "," + inner
+            _encode(item, inner, pieces, out)
+        pieces.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(doc: object, out: Optional[TextIO] = None) -> None:
+    """Write `doc` to `out` (stdout by default) as the bytes of
+    `json.dump(doc, out, indent=2)` plus a newline. Lists of strings, the
+    bulk of the enumeration and gap documents, are encoded a chunk at a time
+    by one `str.join`, and each full chunk is written as it is done, so the
+    whole document is never one string. Unlike `json.dump` with an indent,
+    which takes the stdlib's pure-Python encoder and leaves its closures in
+    reference cycles on every call, this leaves no cyclic garbage."""
+    out = sys.stdout if out is None else out
+    pieces: list[str] = []
+    _encode(doc, "\n", pieces, out)
+    pieces.append("\n")
+    out.write("".join(pieces))
 
 
 def _parse_arg(text: str, store: FormulaStore) -> FormulaId:
     """Parse a formula given on the command line, at most MAX_FORMULA_BYTES long."""
-    if len(text.encode("utf-8", "surrogatepass")) > MAX_FORMULA_BYTES:
+    if _formula_too_long(text):
         raise ParseError(f"formula longer than {MAX_FORMULA_BYTES} bytes", MAX_FORMULA_BYTES)
     return parse(text, store)
 
@@ -281,10 +349,9 @@ def cmd_gap(args) -> int:
 def cmd_demo(args) -> int:
     system = demo_system(DemoVariant(args.variant))
     doc = system_document(system)
-    payload = json.dumps(doc, indent=2) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            _emit(doc, handle)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE

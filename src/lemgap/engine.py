@@ -14,6 +14,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .formula import (
@@ -30,6 +31,7 @@ from .formula import (
     _case_splits,
     _closure,
     _indices,
+    _kinds_of,
     _lbi_shapes,
     _positions,
     _sort_canonical,
@@ -49,6 +51,7 @@ __all__ = [
     "EnumerationResult",
     "ConfigError",
     "AxiomTooLarge",
+    "MAX_FORMULA_BYTES",
     "ArityMismatch",
     "NotDerived",
     "InvalidStep",
@@ -188,7 +191,13 @@ class ProofStep:
 class Stats:
     """Saturation counters. `rule_applications` counts premise tuples that
     matched a rule's pattern (plus one per enabled zero-premise schema);
-    `dedup_hits` counts in-bound conclusions that were already known."""
+    `dedup_hits` counts in-bound conclusions that were already known.
+
+    Saturation counts two kinds of premise without trying them, because the
+    outcome is known: each AND_ELIM on a conjunction AND_INTRO derived (one
+    application and one dedup hit, as its conjuncts are theorems), and each
+    OR_INTRO premise too large for every universe member (one application,
+    no conclusion). The counts are the same as if each were tried."""
 
     generations_run: int
     fixed_point_reached: bool
@@ -251,7 +260,15 @@ class EnumerationResult:
 # ---------------------------------------------------------------------------
 
 _DOCUMENT_KEYS = {"atoms", "axioms", "rules", "side_formulas", "bounds"}
+# Longest formula text, in UTF-8 bytes, in a system document or a CLI
+# argument. Rendering caches the text of every subformula, so memory grows
+# with size times depth; this bounds it.
+MAX_FORMULA_BYTES = 16_384
 _BOUNDS_KEYS = tuple(f.name for f in fields(Bounds))
+
+
+def _formula_too_long(text: str) -> bool:
+    return len(text.encode("utf-8", "surrogatepass")) > MAX_FORMULA_BYTES
 
 
 def _parse_formula_list(
@@ -263,6 +280,10 @@ def _parse_formula_list(
     for i, text in enumerate(values):
         if not isinstance(text, str):
             raise ConfigError(f"{field_name}[{i}]", "must be a formula string")
+        if _formula_too_long(text):
+            raise ConfigError(
+                f"{field_name}[{i}]", f"formula longer than {MAX_FORMULA_BYTES} bytes"
+            )
         try:
             out.append(parse(text, store))
         except ParseError as exc:
@@ -273,8 +294,9 @@ def _parse_formula_list(
 def load_system(text: str) -> AxiomaticSystem:
     """Load and validate a JSON system document.
 
-    Unknown keys are rejected. Defaults: rules {MP}; bounds 12 / 50 /
-    100000; atoms inferred from the axioms and side formulas when omitted.
+    Unknown keys are rejected, and so is a formula string longer than
+    MAX_FORMULA_BYTES. Defaults: rules {MP}; bounds 12 / 50 / 100000; atoms
+    inferred from the axioms and side formulas when omitted.
     """
     try:
         doc = json.loads(text)
@@ -425,18 +447,24 @@ class _Saturation:
     checks. The result keeps the run's index columns; no id or proof step
     is built here.
 
-    `admit_generation` finds the positions of each new generation's
-    implications once; the rules that read implications take them from
-    there. CASE_SPLIT finds its partner premise with `_case_splits`, the
-    matcher `gap.lbi_accepted` uses too, by a lookup in the store's
-    tables; `apply_rule` stays the independent definition that
-    `check_proof` replays."""
+    `admit_generation` sorts each new generation by (size, text), and the
+    rules rely on it: AND_INTRO's budget lists and OR_INTRO's cut of delta
+    are prefixes by size. It also reads each generation's kinds once, in
+    one C-level pass, for the positions of its implications, which MP,
+    LBI_RULE and CASE_SPLIT read, and its number of conjunctions. The
+    conjunctions AND_INTRO did not derive are the ones that came through
+    `offer` (every rule but AND_INTRO and OR_INTRO offers its conclusions
+    there, and OR_INTRO's are disjunctions); AND_ELIM opens only those and
+    counts the rest in bulk (see `Stats`). CASE_SPLIT finds its partner
+    premise with `_case_splits`, the matcher `gap.lbi_accepted` uses too,
+    by a lookup in the store's tables; `apply_rule` stays the independent
+    definition that `check_proof` replays."""
 
     def __init__(self, system: AxiomaticSystem):
         self.system = system
         self.rules = system.rules
         self.store = store = system.store
-        self.lefts, self.rights = store.lefts, store.rights
+        self.kinds, self.lefts, self.rights = store.kinds, store.lefts, store.rights
         self.sizes = store.sizes
         self.max_size = system.bounds.max_formula_size
         self.universe = [sigma.index for sigma in system.universe()]
@@ -452,14 +480,20 @@ class _Saturation:
         # a larger budget too. Kept only when AND_INTRO is enabled.
         self.upto: list[list[int]] = [[]] if RuleKind.AND_INTRO in self.rules else []
         self.impl_by_antecedent: dict[int, list[int]] = {}
-        # Positions of the newest generation's implications, the premises
-        # MP, LBI_RULE and CASE_SPLIT look for: found once, on admission.
+        # Found once, on admission, for the newest generation: the positions
+        # of its implications, the premises MP, LBI_RULE and CASE_SPLIT look
+        # for; how many conjunctions it holds; and the positions of those
+        # that AND_INTRO did not derive, the ones AND_ELIM must open.
         self.new_implications: list[int] = []
+        self.new_conjunctions = 0
+        self.open_conjunctions: list[int] = []
         self.applications = 0
         self.dedup_hits = 0
         self.truncated = False
-        # Per-round scratch: conclusion -> (rule, premises) that first derived it.
+        # Per-round scratch: conclusion -> (rule, premises) that first derived
+        # it, and the conjunctions among them that came through `offer`.
         self.candidates: dict[int, tuple[Optional[RuleKind], tuple[int, ...]]] = {}
+        self.offered_conjunctions: list[int] = []
 
     def offer(self, conclusion: int, rule: Optional[RuleKind], premises: tuple[int, ...]) -> None:
         if self.sizes[conclusion] > self.max_size:
@@ -468,6 +502,8 @@ class _Saturation:
             self.dedup_hits += 1
             return
         self.candidates[conclusion] = (rule, premises)
+        if self.kinds[conclusion] == AND:
+            self.offered_conjunctions.append(conclusion)
 
     def admit_generation(self, gen: int) -> None:
         candidates = self.candidates
@@ -481,17 +517,24 @@ class _Saturation:
         first = len(self.theorems)
         self.theorems += ordered
         self.steps += map(candidates.__getitem__, ordered)
-        self.generations += [gen] * len(ordered)
+        self.generations += repeat(gen, len(ordered))
         self.position.update(zip(ordered, range(first, len(self.theorems))))
         if self.upto and ordered:
             # `ordered` is sorted by size, so the theorems of size at most
             # b are a prefix of it.
-            ordered_sizes = [self.sizes[f] for f in ordered]
-            for _ in range(len(self.upto), min(ordered_sizes[-1], self.max_size - 2) + 1):
+            size_of = self.sizes.__getitem__
+            for _ in range(len(self.upto), min(size_of(ordered[-1]), self.max_size - 2) + 1):
                 self.upto.append(self.upto[-1].copy())
             for budget, bucket in enumerate(self.upto):
-                bucket += range(first, first + bisect_right(ordered_sizes, budget))
-        self.new_implications = list(_positions(IMPLIES, self.theorems, self.store, first))
+                bucket += range(first, first + bisect_right(ordered, budget, key=size_of))
+        new_kinds = _kinds_of(ordered, self.store)
+        self.new_conjunctions = new_kinds.count(AND)
+        offered, self.offered_conjunctions = self.offered_conjunctions, []
+        # An offered conjunction has no position only if the cut dropped it.
+        self.open_conjunctions = sorted(
+            i for i in map(self.position.get, offered) if i is not None
+        )
+        self.new_implications = _positions(IMPLIES, new_kinds, first)
         for j in self.new_implications:
             self.impl_by_antecedent.setdefault(self.lefts[self.theorems[j]], []).append(j)
 
@@ -570,9 +613,18 @@ class _Saturation:
         self.dedup_hits += dedup_hits
 
     def run_and_elim(self, delta: range) -> None:
+        """A conjunction AND_INTRO derived from positions (i, j) has the
+        theorems i and j as its conjuncts, so each enabled elimination on
+        it is one application and one dedup hit: counted, not tried. Only
+        delta's other conjunctions, `open_conjunctions` (axioms and the
+        conclusions of MP, LBI_RULE, CASE_SPLIT and AND_ELIM), go through
+        `offer`."""
         elim_left = RuleKind.AND_ELIM_L in self.rules
         elim_right = RuleKind.AND_ELIM_R in self.rules
-        for i in _positions(AND, self.theorems, self.store, delta.start):
+        counted = (self.new_conjunctions - len(self.open_conjunctions)) * (elim_left + elim_right)
+        self.applications += counted
+        self.dedup_hits += counted
+        for i in self.open_conjunctions:
             f = self.theorems[i]
             if elim_left:
                 self.applications += 1
@@ -582,14 +634,23 @@ class _Saturation:
                 self.offer(self.rights[f], RuleKind.AND_ELIM_R, (i,))
 
     def run_or_intro(self, delta: range) -> None:
-        # Each disjunction fits the budget, so as in run_and_intro only the
-        # dedup check of `offer` is done, inlined.
+        """Each theorem of delta is one application. Only those that fit
+        beside the smallest universe member are tried. `admit_generation`
+        sorts each generation by size, so they are a prefix of delta, found
+        by bisection; the rest are counted without a loop (S9 tries 6,300
+        of its 110,747 theorems). Each disjunction tried fits the budget, so
+        as in run_and_intro only the dedup check of `offer` is done,
+        inlined."""
         theorems, sizes = self.theorems, self.sizes
         position, candidates = self.position, self.candidates
         intern = self.store._intern_binary
+        self.applications += len(delta)
+        smallest = self.universe_sizes[0] if self.universe_sizes else self.max_size
+        fitting = bisect_right(
+            theorems, self.max_size - 1 - smallest, delta.start, delta.stop, key=sizes.__getitem__
+        )
         dedup_hits = 0
-        for i in delta:
-            self.applications += 1
+        for i in range(delta.start, fitting):
             phi = theorems[i]
             budget = self.max_size - 1 - sizes[phi]
             step = (RuleKind.OR_INTRO, (i,))

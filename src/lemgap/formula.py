@@ -276,13 +276,21 @@ def subformula_closure(fs: Iterable[FormulaId], store: FormulaStore) -> frozense
     return frozenset(store._ids(_closure(_indices(fs, store), store)))
 
 
-def _positions(kind: int, fs: Sequence[int], store: FormulaStore, start: int = 0) -> Iterator[int]:
-    """Ascending positions, from `start` on, of the formulas of `fs` of the
-    given kind. In a wide run most formulas are not of the kind a rule
-    looks for (S9 has 3 implications among 110,747 theorems), and the
-    filter inside one generator expression skips them fastest."""
-    kinds = store._kinds
-    return (j for j in range(start, len(fs)) if kinds[fs[j]] == kind)
+def _kinds_of(fs: Iterable[int], store: FormulaStore) -> bytes:
+    """The kind of each formula of `fs`, one byte each, read in one C-level
+    pass; `count` and `find` on it then skip what a rule does not look for
+    (S9 has 3 implications among 110,747 theorems) without a Python loop."""
+    return bytes(map(store._kinds.__getitem__, fs))
+
+
+def _positions(kind: int, kinds: bytes, offset: int = 0) -> list[int]:
+    """Ascending positions, plus `offset`, of `kind` in a `_kinds_of` string."""
+    positions = []
+    k = kinds.find(kind)
+    while k >= 0:
+        positions.append(offset + k)
+        k = kinds.find(kind, k + 1)
+    return positions
 
 
 def _lbi_shapes(
@@ -340,7 +348,8 @@ def match_lbi_shape(f: FormulaId, store: FormulaStore) -> Optional[tuple[Formula
     not match.
     """
     fs = _indices((f,), store)
-    for _, pivot, conclusion in _lbi_shapes(fs, _positions(IMPLIES, fs, store), store):
+    implications = _positions(IMPLIES, _kinds_of(fs, store))
+    for _, pivot, conclusion in _lbi_shapes(fs, implications, store):
         return store._id(pivot), store._id(conclusion)
     return None
 

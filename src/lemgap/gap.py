@@ -21,7 +21,7 @@ from .engine import (
     saturate,
 )
 from .formula import IMPLIES, NOT, FormulaId, FormulaStore, _case_splits, _fill_texts, _lbi_shapes
-from .formula import _positions, parse, render
+from .formula import _kinds_of, _positions, parse, render
 from .oracle import entails, independent
 
 __all__ = [
@@ -107,7 +107,7 @@ def lbi_accepted(result: EnumerationResult, store: FormulaStore) -> tuple[LbiWit
     assert result._store is store, "EnumerationResult belongs to a different store"
     theorems = result._indices
     # Both patterns read implications only: their positions, walked once.
-    positions = list(_positions(IMPLIES, theorems, store))
+    positions = _positions(IMPLIES, _kinds_of(theorems, store))
     # (conclusion, pivot, mode) -> source positions, first witness kept.
     found: dict[tuple[int, int, WitnessMode], tuple[int, ...]] = {}
     for j, pivot, conclusion in _lbi_shapes(theorems, positions, store):

@@ -4,8 +4,12 @@ import gc
 import hashlib
 import json
 
-import pytest
+import io
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lemgap import cli
 from lemgap.cli import MAX_SYSTEM_BYTES, main
 
 
@@ -421,7 +425,9 @@ def test_unknown_command_exit_code(capsys):
 
 def test_warm_main_leaves_few_cyclic_objects(capsys):
     # The parser is built once per process; a rebuilt one would leave
-    # about 230 objects in reference cycles on every call.
+    # about 230 objects in reference cycles on every call. The machine
+    # output's encoder makes no closures, where `json.dump` with an indent
+    # left 33 objects in cycles.
     argv = ("parse", "p -> q", "--format", "machine")
     assert run(capsys, *argv)[0] == 0
     was_enabled = gc.isenabled()
@@ -434,7 +440,46 @@ def test_warm_main_leaves_few_cyclic_objects(capsys):
         if was_enabled:
             gc.enable()
     assert code == 0
-    assert left < 100
+    assert left == 0
+
+
+# --- the machine-output encoder ---------------------------------------------------
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1])
+    | st.text()  # non-ASCII and control characters included
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=6), children, max_size=5),
+    max_leaves=40,
+)
+# A string list longer than a chunk, with other values after it or not.
+_LONG_LISTS = st.tuples(
+    st.lists(st.text(max_size=4), min_size=1, max_size=3),
+    st.lists(_SCALARS, max_size=3),
+).map(lambda parts: parts[0] * (cli._CHUNK // len(parts[0]) + 1) + parts[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), _VALUES | _LONG_LISTS, max_size=6) | _VALUES)
+def test_emit_writes_the_bytes_of_json_dumps(doc):
+    out = io.StringIO()
+    cli._emit(doc, out)
+    assert out.getvalue().encode() == (json.dumps(doc, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, (1, 2), {1: "a"}, {"a": [{"b": {None: 1}}]}, [b"x"], {"s": {"x"}}]
+)
+def test_emit_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._emit(doc, io.StringIO())
 
 
 def test_repeated_runs_identical_same_process(capsys, eq1_file):

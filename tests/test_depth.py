@@ -6,6 +6,7 @@ is nested far deeper than that limit.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -62,7 +63,7 @@ def test_deep_formula_library(text, canonical, atoms, verdict, evaluation, entai
     assert entails([parse(axiom, store)], f, store) == expected
 
 
-def _cli(*argv):
+def _cli(*argv, preexec_fn=None):
     # An absolute PYTHONPATH, so the subprocess finds this checkout from
     # any working directory.
     package_root = str(Path(lemgap.__file__).resolve().parent.parent)
@@ -71,6 +72,7 @@ def _cli(*argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": package_root},
+        preexec_fn=preexec_fn,
     )
 
 
@@ -90,6 +92,25 @@ def test_oversized_formula_cli():
     proc = _cli("parse", "~" * MAX_FORMULA_BYTES + "p")
     assert proc.returncode == 2
     assert proc.stderr == "parse error: formula longer than 16384 bytes at offset 16384\n"
+    assert proc.stdout == ""
+
+
+def test_oversized_axiom_in_a_system_file_cli(tmp_path):
+    # A 100 KB file, under the 1 MiB cap. Rendering this axiom would cache
+    # the text of each of its 100,001 subformulas, about 5 * 10^9
+    # characters, so the child runs with its address space capped at 1 GiB.
+    resource = pytest.importorskip("resource")
+    gib = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+    path = tmp_path / "deep.json"
+    doc = {"axioms": ["~" * 100_000 + "p"], "bounds": {"max_formula_size": 200_000}}
+    path.write_text(json.dumps(doc))
+    proc = _cli("enumerate", "--system", str(path), preexec_fn=cap_memory)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: axioms[0]: formula longer than 16384 bytes\n"
     assert proc.stdout == ""
 
 

@@ -31,7 +31,7 @@ from lemgap.formula import FormulaStore, parse, render, size
 from lemgap.gap import gap_report
 from lemgap.oracle import entails
 
-from support import naive_closure, random_system
+from support import naive_closure, random_formula, random_system
 
 
 def mk_system(axiom_texts, rules, atoms=None, **bound_args):
@@ -110,6 +110,19 @@ def test_load_system_bounds_validation():
     with pytest.raises(ConfigError) as err:
         load_system('{"bounds": {"max_theorems": "lots", "max_formula_size": "big"}}')
     assert err.value.field == "bounds.max_formula_size"
+
+
+@pytest.mark.parametrize("field_name", ["axioms", "side_formulas"])
+def test_load_system_formula_byte_limit(field_name):
+    # The limit counts UTF-8 bytes: one two-byte space tips it over.
+    at_limit = "p" + " " * (engine.MAX_FORMULA_BYTES - 1)
+    over_limit = "p" + "\u00a0" + " " * (engine.MAX_FORMULA_BYTES - 2)
+    system = load_system(json.dumps({field_name: ["q", at_limit]}))
+    assert len(getattr(system, field_name)) == 2
+    with pytest.raises(ConfigError) as err:
+        load_system(json.dumps({field_name: ["q", over_limit]}))
+    assert err.value.field == f"{field_name}[1]"
+    assert err.value.reason == "formula longer than 16384 bytes"
 
 
 def test_load_system_undeclared_atom():
@@ -719,6 +732,90 @@ def test_gap_report_builds_no_steps_and_reads_the_pinned_ones_later():
     assert steps_digest(report.enumerated, system.store) == S7_DIGEST
     assert steps_digest(report.closure, system.store) == S7_LBI_DIGEST
     assert report.enumerated.stats == Stats(7, True, 15188, 5952)
+
+
+# Saturation counts some premises without trying them: an AND_INTRO
+# conjunction under AND_ELIM (its conjuncts are theorems already) and an
+# OR_INTRO premise too large for every universe member. These pins fix
+# `Stats` and the steps where a conjunction must still be opened.
+_ELIMS = ("AND_INTRO", "AND_ELIM_L", "AND_ELIM_R")
+
+
+@pytest.mark.parametrize(
+    "axioms, rules, digest, stats",
+    [
+        (["p & (q -> r)", "q"], ("MP", *_ELIMS, "OR_INTRO"),
+         "20545e17bf8071cb9af710ebccbc8ec16b7e9fb1a507e179491127e54f671ecb",
+         Stats(6, True, 8941, 3725)),
+        (["q", "q -> (r & s)"], ("MP", *_ELIMS),
+         "1aa4370e3af318b846fb7f5515d008d44f20b0c7af5fde3d1fd7d463dae506bf",
+         Stats(6, True, 1423, 947)),
+        (["(p & q) & r"], _ELIMS,
+         "e6f3e68e06d8420587cc5e8d0701f93d567b5a185f02d43912f0fe97286d0f2a",
+         Stats(6, True, 1404, 934)),
+        (["(p & q) & r"], ("AND_INTRO", "AND_ELIM_R"),
+         "126d2a8e928de79cf384c55908c130b2a2d3a2a561141e9e0b246bc02675ddfc",
+         Stats(5, True, 21, 10)),
+        (["p", "q", "p -> (p & q)"], ("MP", *_ELIMS),
+         "f6576b44ad6992146b9f7fa7072a1c1a332545a669d2bb66a2c19027e51663ce",
+         Stats(4, True, 313, 209)),
+    ],
+    ids=["axiom-conjunction", "mp-conjunction", "nested-conjunction",
+         "nested-conjunction-right-only", "mp-and-and-intro-same-round"],
+)
+def test_bulk_counted_premises_are_pinned(axioms, rules, digest, stats):
+    system = mk_system(axioms, [RuleKind(r) for r in rules], max_formula_size=7)
+    result = saturate(system)
+    assert steps_digest(result, system.store) == digest
+    assert result.stats == stats
+
+
+def test_a_conjunction_mp_and_and_intro_both_derive_keeps_the_mp_step():
+    system = mk_system(["p", "q", "p -> (p & q)"], [RuleKind.MP, RuleKind.AND_INTRO],
+                       max_formula_size=5)
+    result = saturate(system)
+    position = result.index_of(parse("p & q", system.store))
+    assert (result.steps[position].rule, result.generations[position]) == (RuleKind.MP, 1)
+
+
+def _bulk_counting_system(rng):
+    atoms = ("a", "b", "c")[: rng.randint(1, 3)]
+    store = FormulaStore()
+    def formula(size):
+        return random_formula(rng, atoms, size, store)
+
+    axioms = [formula(rng.randint(1, 5)) for _ in range(rng.randint(1, 2))]
+    # Conjunctions that AND_INTRO does not derive: an axiom, and one that
+    # MP concludes.
+    if rng.random() < 0.5:
+        axioms.append(store.conj(formula(rng.randint(1, 3)), formula(rng.randint(1, 2))))
+    if rng.random() < 0.4:
+        antecedent = formula(1)
+        axioms += [antecedent, store.impl(antecedent, store.conj(formula(1), formula(2)))]
+    pool = (RuleKind.MP, RuleKind.AND_INTRO, RuleKind.AND_ELIM_L, RuleKind.AND_ELIM_R,
+            RuleKind.OR_INTRO)
+    rules = frozenset(r for r in pool if rng.random() < 0.6)
+    max_size = max(rng.randint(4, 7), *(size(ax, store) for ax in axioms))
+    max_theorems = rng.randint(4, 40) if rng.random() < 0.3 else 100_000
+    return AxiomaticSystem(
+        store=store, atoms=atoms, axioms=tuple(dict.fromkeys(axioms)), rules=rules,
+        bounds=Bounds(max_formula_size=max_size, max_theorems=max_theorems),
+    )
+
+
+def test_bulk_counting_on_random_systems_is_pinned():
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    truncated = 0
+    for _ in range(60):
+        system = _bulk_counting_system(rng)
+        result = saturate(system)
+        truncated += result.stop_reason == "max_theorems"
+        digest.update(f"{steps_digest(result, system.store)}\t{result.stats}\n".encode())
+    assert truncated >= 5
+    assert digest.hexdigest() == (
+        "e6afc1b18fd411d6fbfef84dacdebf21b28424a33658ab70c215841d97f71d1d"
+    )
 
 
 # --- the cyclic collector ------------------------------------------------------
