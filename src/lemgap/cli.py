@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict, replace
-from typing import Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 from .engine import (
     MAX_FORMULA_BYTES,
@@ -24,16 +24,16 @@ from .engine import (
     ConfigError,
     EnumerationResult,
     NotDerived,
-    ProofStep,
     RuleKind,
     _formula_too_long,
+    _rule_name,
     check_proof,
     extract_proof,
     load_system,
     saturate,
     system_document,
 )
-from .formula import FormulaId, FormulaStore, ParseError, atoms_of, parse, render, size
+from .formula import FormulaId, FormulaStore, ParseError, _texts_of, atoms_of, parse, render, size
 from .gap import (
     CLOSING_RULES,
     DemoVariant,
@@ -178,12 +178,33 @@ def _load(args) -> AxiomaticSystem:
     return system
 
 
-def _step_line(i: int, step: ProofStep, store: FormulaStore, gen: Optional[int] = None) -> str:
-    label = step.rule_name
-    if step.premises:
-        label += " " + ",".join(str(p) for p in step.premises)
-    gen_part = f"  gen {gen}" if gen is not None else ""
-    return f"{i:4d}{gen_part}  {label:<16} {render(step.conclusion, store)}"
+def _rows(
+    texts: Iterable[str], pairs: Iterable[tuple], generations: Optional[Sequence[int]] = None
+) -> list[dict]:
+    """One row per step of a step table: the formula texts and the aligned
+    (rule, premises) pairs, and generation numbers when given. The fields
+    come in the machine output's order: index, generation, formula, rule,
+    premises."""
+    rows = []
+    for i, (formula, (rule, premises)) in enumerate(zip(texts, pairs)):
+        row = {"index": i}
+        if generations is not None:
+            row["generation"] = generations[i]
+        row["formula"] = formula
+        row["rule"] = _rule_name(rule)
+        row["premises"] = list(premises)
+        rows.append(row)
+    return rows
+
+
+def _print_rows(rows: list[dict]) -> None:
+    """The text output of a step table, one line per row."""
+    for row in rows:
+        label = row["rule"]
+        if row["premises"]:
+            label += " " + ",".join(map(str, row["premises"]))
+        gen = f"  gen {row['generation']}" if "generation" in row else ""
+        print(f"{row['index']:4d}{gen}  {label:<16} {row['formula']}")
 
 
 def cmd_parse(args) -> int:
@@ -243,30 +264,15 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _enumeration_doc(result: EnumerationResult, store: FormulaStore) -> dict:
-    return {
-        "theorems": [
-            {
-                "index": i,
-                "generation": result.generations[i],
-                "formula": render(result.theorems[i], store),
-                "rule": result.steps[i].rule_name,
-                "premises": list(result.steps[i].premises),
-            }
-            for i in range(len(result.theorems))
-        ],
-        "stats": asdict(result.stats),
-    }
-
-
 def cmd_enumerate(args) -> int:
     system = _load(args)
     result = saturate(system)
+    # The run's index columns; no id or proof step is built per theorem.
+    rows = _rows(_texts_of(result._indices, system.store), result._pairs, result.generations)
     if args.format == "machine":
-        _emit(_enumeration_doc(result, system.store))
+        _emit({"theorems": rows, "stats": asdict(result.stats)})
     else:
-        for i, step in enumerate(result.steps):
-            print(_step_line(i, step, system.store, gen=result.generations[i]))
+        _print_rows(rows)
         print(_stats_lines(result))
     return EXIT_OK
 
@@ -287,24 +293,13 @@ def cmd_prove(args) -> int:
     if failure is not None:  # pragma: no cover - replay of our own output
         print(f"internal error: extracted proof failed replay: {failure}", file=sys.stderr)
         return EXIT_USAGE
+    store = system.store
+    texts = [render(step.conclusion, store) for step in proof]
+    rows = _rows(texts, ((step.rule, step.premises) for step in proof))
     if args.format == "machine":
-        _emit(
-            {
-                "goal": render(goal, system.store),
-                "steps": [
-                    {
-                        "index": i,
-                        "formula": render(step.conclusion, system.store),
-                        "rule": step.rule_name,
-                        "premises": list(step.premises),
-                    }
-                    for i, step in enumerate(proof)
-                ],
-            }
-        )
+        _emit({"goal": render(goal, store), "steps": rows})
     else:
-        for i, step in enumerate(proof):
-            print(_step_line(i, step, system.store))
+        _print_rows(rows)
     return EXIT_OK
 
 

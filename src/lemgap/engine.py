@@ -88,12 +88,15 @@ RULE_ARITY = {
 
 
 class ConfigError(Exception):
-    """Invalid system document. `field` names the offending entry."""
+    """Invalid system document. `field` names the offending entry; the
+    message quotes it when it is not printable (a document key may hold a
+    newline), so the message stays one line."""
 
     def __init__(self, field_name: str, reason: str):
         self.field = field_name
         self.reason = reason
-        super().__init__(f"{field_name}: {reason}")
+        shown = field_name if field_name.isprintable() else repr(field_name)
+        super().__init__(f"{shown}: {reason}")
 
 
 class AxiomTooLarge(ConfigError):
@@ -170,6 +173,11 @@ class AxiomaticSystem:
         return replace(self, rules=frozenset(rules))
 
 
+def _rule_name(rule: Optional[RuleKind]) -> str:
+    """The name a step's rule is shown by: `AXIOM` for an axiom (None)."""
+    return "AXIOM" if rule is None else rule.value
+
+
 @dataclass(frozen=True, slots=True)
 class ProofStep:
     """One derivation: `rule` applied to earlier steps gives `conclusion`.
@@ -184,7 +192,7 @@ class ProofStep:
 
     @property
     def rule_name(self) -> str:
-        return "AXIOM" if self.rule is None else self.rule.value
+        return _rule_name(self.rule)
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,10 +219,12 @@ class EnumerationResult:
     generation numbers. `stop_reason` is `fixed_point`, `max_generations`
     or `max_theorems`.
 
-    A result keeps its run's store indices and (rule, premises) pairs.
-    `theorems` and `steps` are built from them on first read, the steps
-    replacing the pairs, so `gap_report`, which reads neither, builds no
-    id or proof step. Results compare by theorems, steps, generations and
+    A result's step table is its run's store indices (`_indices`) and
+    (rule, premises) pairs (`_pairs`), aligned with `generations`; none of
+    them changes after the run. `theorems` and `steps` are views of it,
+    built on first read, so `gap_report`, `extract_proof` and the
+    `enumerate` command, which read the table, build no id or proof step
+    per theorem. Results compare by theorems, steps, generations and
     stats.
     """
 
@@ -223,7 +233,7 @@ class EnumerationResult:
     stop_reason: str
     _store: FormulaStore = field(repr=False)
     _indices: tuple[int, ...] = field(repr=False)
-    _pairs: Optional[list] = field(repr=False)
+    _pairs: Sequence[tuple[Optional[RuleKind], tuple[int, ...]]] = field(repr=False)
 
     @cached_property
     def theorems(self) -> tuple[FormulaId, ...]:
@@ -231,11 +241,9 @@ class EnumerationResult:
 
     @cached_property
     def steps(self) -> tuple[ProofStep, ...]:
-        steps, theorems = self._pairs, self.theorems
-        for k, (rule, premises) in enumerate(steps):  # frees each pair it replaces
-            steps[k] = ProofStep(theorems[k], rule, premises)
-        object.__setattr__(self, "_pairs", None)
-        return tuple(steps)
+        return tuple(
+            ProofStep(f, rule, premises) for f, (rule, premises) in zip(self.theorems, self._pairs)
+        )
 
     def _key(self) -> tuple:
         return self.theorems, self.steps, self.generations, self.stats
@@ -464,14 +472,14 @@ class _Saturation:
         self.system = system
         self.rules = system.rules
         self.store = store = system.store
-        self.kinds, self.lefts, self.rights = store.kinds, store.lefts, store.rights
-        self.sizes = store.sizes
+        self.kinds, self.lefts, self.rights = store._kinds, store._lefts, store._rights
+        self.sizes = store._sizes
         self.max_size = system.bounds.max_formula_size
         self.universe = [sigma.index for sigma in system.universe()]
         # Non-decreasing, because the universe is sorted by (size, text).
         self.universe_sizes = [self.sizes[sigma] for sigma in self.universe]
         self.theorems: list[int] = []
-        self.steps: list[tuple[Optional[RuleKind], tuple[int, ...]]] = []  # (rule, premises)
+        self.pairs: list[tuple[Optional[RuleKind], tuple[int, ...]]] = []  # (rule, premises)
         self.generations: list[int] = []
         self.position: dict[int, int] = {}
         # upto[b]: ascending positions of the theorems of size at most b, for
@@ -489,7 +497,6 @@ class _Saturation:
         self.open_conjunctions: list[int] = []
         self.applications = 0
         self.dedup_hits = 0
-        self.truncated = False
         # Per-round scratch: conclusion -> (rule, premises) that first derived
         # it, and the conjunctions among them that came through `offer`.
         self.candidates: dict[int, tuple[Optional[RuleKind], tuple[int, ...]]] = {}
@@ -511,12 +518,10 @@ class _Saturation:
         ordered = list(candidates)
         _sort_canonical(ordered, self.store)
         room = self.system.bounds.max_theorems - len(self.theorems)
-        if len(ordered) > room:
-            self.truncated = True
-            del ordered[room:]
+        del ordered[room:]
         first = len(self.theorems)
         self.theorems += ordered
-        self.steps += map(candidates.__getitem__, ordered)
+        self.pairs += map(candidates.__getitem__, ordered)
         self.generations += repeat(gen, len(ordered))
         self.position.update(zip(ordered, range(first, len(self.theorems))))
         if self.upto and ordered:
@@ -681,7 +686,8 @@ class _Saturation:
         rounds = 0
         gen_start = 0
         stop_reason = "max_theorems"
-        while not self.truncated and len(self.theorems) < self.system.bounds.max_theorems:
+        # A cut fills the theorem list to max_theorems, so it ends the loop.
+        while len(self.theorems) < self.system.bounds.max_theorems:
             if rounds >= self.system.bounds.max_generations:
                 stop_reason = "max_generations"
                 break
@@ -692,7 +698,7 @@ class _Saturation:
             if not self.candidates:
                 stop_reason = "fixed_point"
                 break
-            self.admit_generation(self.generations[-1] + 1 if self.theorems else 1)
+            self.admit_generation(rounds)
         return EnumerationResult(
             generations=tuple(self.generations),
             stats=Stats(
@@ -704,7 +710,7 @@ class _Saturation:
             stop_reason=stop_reason,
             _store=self.store,
             _indices=tuple(self.theorems),
-            _pairs=self.steps,
+            _pairs=self.pairs,
         )
 
 
@@ -720,9 +726,9 @@ def saturate(system: AxiomaticSystem) -> EnumerationResult:
     run-to-run. Stops at the fixed point or when a bound is exhausted
     (reported in `stop_reason` and stats, never an error).
 
-    The result's ids and proof steps are built on first read of its
-    `theorems` and `steps`; `gap_report` reads neither, so `gap` never
-    builds a proof step.
+    The result keeps the run's step table, its index columns; ids and
+    proof steps are built only when its `theorems` or `steps` are read,
+    which neither `gap_report` nor the `enumerate` command does.
 
     The cyclic garbage collector is paused during the run: a run makes
     no reference cycles, so a collection would only walk its growing
@@ -747,14 +753,13 @@ def extract_proof(result: EnumerationResult, goal: FormulaId) -> tuple[ProofStep
 
     Premise indices are rewritten to positions within the returned tuple.
     Raises NotDerived when the goal never made it into the enumeration.
-    Builds the proof's steps only, not the run's.
+    Reads the run's step table, and builds the proof's steps only, not the
+    run's.
     """
     target = result.index_of(goal)
     if target is None:
         raise NotDerived("goal is not among the enumerated theorems")
     pairs = result._pairs
-    if pairs is None:  # the run's steps were read and replaced the pairs
-        pairs = [(step.rule, step.premises) for step in result.steps]
     needed: set[int] = set()
     stack = [target]
     while stack:

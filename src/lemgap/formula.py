@@ -88,10 +88,10 @@ _NODE_TYPES = (Atom, Not, And, Or, Implies)  # indexed by kind
 class FormulaStore:
     """Append-only interning arena. Ids never change meaning once issued.
 
-    A formula is an index into four index-aligned int columns: `kinds`
-    (ATOM, NOT, AND, OR or IMPLIES), `lefts` (a negation's child, a binary
-    node's left operand or antecedent), `rights` (a binary node's right
-    operand or consequent) and `sizes`. Both child columns hold -1 where a
+    A formula is an index into four index-aligned int columns: `_kinds`
+    (ATOM, NOT, AND, OR or IMPLIES), `_lefts` (a negation's child, a binary
+    node's left operand or antecedent), `_rights` (a binary node's right
+    operand or consequent) and `_sizes`. Both child columns hold -1 where a
     node has no such child; an atom's name is kept by index. No node
     object is stored: `node` builds one on demand. Hash-consing goes
     through one lookup table per kind, from the atom name, the child
@@ -131,24 +131,6 @@ class FormulaStore:
 
     def __contains__(self, f: FormulaId) -> bool:
         return f.store_tag == self._tag and 0 <= f.index < len(self._kinds)
-
-    # The live columns; read them, never mutate them.
-
-    @property
-    def kinds(self) -> Sequence[int]:
-        return self._kinds
-
-    @property
-    def lefts(self) -> Sequence[int]:
-        return self._lefts
-
-    @property
-    def rights(self) -> Sequence[int]:
-        return self._rights
-
-    @property
-    def sizes(self) -> Sequence[int]:
-        return self._sizes
 
     def node(self, f: FormulaId) -> Formula:
         """The node of `f`, built from the columns."""
@@ -536,6 +518,12 @@ def _fill_texts(indices: Iterable[int], store: FormulaStore) -> list[Optional[st
             text = left_text + infix + _slot(rights[i], right_level, texts, kinds)
         texts[i] = text
     return texts
+
+
+def _texts_of(indices: Sequence[int], store: FormulaStore) -> list[str]:
+    """The texts of the indexed formulas, in order, rendered in one
+    `_fill_texts` pass. The indices are not checked."""
+    return list(map(_fill_texts(indices, store).__getitem__, indices))
 
 
 def render(f: FormulaId, store: FormulaStore) -> str:

@@ -20,8 +20,8 @@ from .engine import (
     RuleKind,
     saturate,
 )
-from .formula import IMPLIES, NOT, FormulaId, FormulaStore, _case_splits, _fill_texts, _lbi_shapes
-from .formula import _kinds_of, _positions, parse, render
+from .formula import IMPLIES, NOT, FormulaId, FormulaStore, _case_splits, _kinds_of, _lbi_shapes
+from .formula import _positions, _texts_of, parse, render
 from .oracle import entails, independent
 
 __all__ = [
@@ -112,7 +112,7 @@ def lbi_accepted(result: EnumerationResult, store: FormulaStore) -> tuple[LbiWit
     found: dict[tuple[int, int, WitnessMode], tuple[int, ...]] = {}
     for j, pivot, conclusion in _lbi_shapes(theorems, positions, store):
         found.setdefault((conclusion, pivot, WitnessMode.EQ1_SHAPE), (j,))
-    lefts, rights = store.lefts, store.rights
+    lefts, rights = store._lefts, store._rights
     position = {theorems[j]: j for j in positions}
     for i, j in _case_splits(theorems, positions, position, store):
         f = theorems[i]
@@ -251,9 +251,8 @@ def demo_family(n: int) -> AxiomaticSystem:
 
 def _run_document(result: EnumerationResult, store: FormulaStore) -> dict:
     assert result._store is store, "EnumerationResult belongs to a different store"
-    indices = result._indices
     return {
-        "theorems": list(map(_fill_texts(indices, store).__getitem__, indices)),
+        "theorems": _texts_of(result._indices, store),
         "stats": asdict(result.stats),
     }
 

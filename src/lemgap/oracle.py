@@ -98,7 +98,7 @@ def _masks(
     every assignment's bit set. Walks the subformulas in ascending index
     order, so both children of a node are done before the node.
     """
-    kinds, lefts, rights, names = store.kinds, store.lefts, store.rights, store._names
+    kinds, lefts, rights, names = store._kinds, store._lefts, store._rights, store._names
     masks: dict[int, int] = {}
     for i in sorted(_closure(indices, store)):
         kind = kinds[i]

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
-import json
-
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lemgap import cli
 from lemgap.cli import MAX_SYSTEM_BYTES, main
+from lemgap.engine import RuleKind
+from lemgap.formula import FormulaStore
 
 
 def run(capsys, *argv):
@@ -220,6 +222,21 @@ def test_system_file_json_decoder_limits(capsys, tmp_path, text):
     assert (code, out) == (1, "")
     assert err.startswith("error: document: invalid JSON: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# A key is quoted in the message when it is not printable, so the message
+# stays one line.
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"a\nb": 1}, "error: 'a\\nb': unknown key\n"),
+        ({"bounds": {"max\ntheorems": 1}}, "error: 'bounds.max\\ntheorems': unknown key\n"),
+    ],
+)
+def test_unknown_key_with_a_newline_is_one_stderr_line(capsys, tmp_path, doc, message):
+    path = tmp_path / "newline.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "enumerate", "--system", str(path)) == (1, "", message)
 
 
 def test_enumerate_max_size_override(capsys, tmp_path):
@@ -504,6 +521,14 @@ S7_SYSTEM = {
 }
 
 
+def s7_digest(capsys, tmp_path, argv, fmt):
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps(S7_SYSTEM))
+    code, out, err = run(capsys, *argv, "--format", fmt, "--system", str(path))
+    assert code == 0, err
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -521,8 +546,156 @@ S7_SYSTEM = {
     ids=["enumerate", "gap-lbi", "gap-lem", "gap-case-split", "prove"],
 )
 def test_s7_machine_output_is_byte_identical(capsys, tmp_path, argv, digest):
+    assert s7_digest(capsys, tmp_path, argv, "machine") == digest
+
+
+# The same five commands in text format, whose step lines are formatted
+# from the machine output's rows.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("enumerate",),
+         "88c95502e6ada4635da689922a3454bf928bf7aacac3d7b605b1a5cdb1463c85"),
+        (("gap", "--close-with", "LBI_RULE"),
+         "5fa3ea5a9ed080bcf84e0c2279937594d4018f50a6e42209ffe8862c5df3b52e"),
+        (("gap", "--close-with", "LEM_AXIOM"),
+         "7dbe67a18e40b92c4d6a2972282dbc706ba8c0ff5aa0d2a4e14cfabd6e661bee"),
+        (("gap", "--close-with", "CASE_SPLIT"),
+         "067ed13444c197f5d4209643b4d42684a9cfe78a4e99fe3f2f3b69ad9ae7440a"),
+        (("prove", "--goal", "r"),
+         "835b6c8af22d7fa5adf2a1497659c4a92dbc8ab0945e11ae5bc5aa769c22aa59"),
+    ],
+    ids=["enumerate", "gap-lbi", "gap-lem", "gap-case-split", "prove"],
+)
+def test_s7_text_output_is_byte_identical(capsys, tmp_path, argv, digest):
+    assert s7_digest(capsys, tmp_path, argv, "text") == digest
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_enumerate_builds_no_id_per_theorem(capsys, tmp_path, monkeypatch, fmt):
+    # `enumerate` renders the run's index columns. The only ids it builds
+    # are the 4 parsed axioms' and the 10 universe members' of S7, not one
+    # per theorem (6,300).
+    built = []
+    ids, one = FormulaStore._ids, FormulaStore._id
+
+    def counted_ids(self, indices):
+        out = ids(self, indices)
+        built.extend(out)
+        return out
+
+    def counted_id(self, i):
+        built.append(one(self, i))
+        return built[-1]
+
+    monkeypatch.setattr(FormulaStore, "_ids", counted_ids)
+    monkeypatch.setattr(FormulaStore, "_id", counted_id)
     path = tmp_path / "s7.json"
     path.write_text(json.dumps(S7_SYSTEM))
-    code, out, err = run(capsys, *argv, "--format", "machine", "--system", str(path))
+    code, out, err = run(capsys, "enumerate", "--format", fmt, "--system", str(path))
     assert code == 0, err
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    rows = json.loads(out)["theorems"] if fmt == "machine" else out.splitlines()[:-1]
+    assert len(rows) == 6300
+    assert len(built) == 14
+
+
+# --- malformed system documents ----------------------------------------------------
+
+_SCALARS = (
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers(-(10**40), 10**40)
+    # 4,001 digits: under the int-string limit of json.dumps, unlike 5,000.
+    | st.sampled_from([1, -1]).map(lambda sign: sign * 10**4000)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+def _mostly(valid, junk):
+    """`valid` five times in six, `junk` otherwise."""
+    return st.integers(0, 5).flatmap(lambda k: junk if k == 0 else valid)
+
+
+_FORMULA_TEXT = st.recursive(
+    st.sampled_from(["p", "q", "r", "s"]),
+    lambda sub: sub.map("~{}".format)
+    | st.tuples(sub, st.sampled_from([" & ", " | ", " -> ", "|"]), sub).map(
+        lambda t: f"({t[0]}{t[1]}{t[2]})"
+    ),
+    max_leaves=6,
+)
+# Deep formulas on both sides of MAX_FORMULA_BYTES (16 KiB), and bad ones.
+_BAD_FORMULA = st.text(max_size=8) | st.sampled_from(["P", "p ->", "(p", ""]) | st.builds(
+    lambda op, n: op * n + "p" + ")" * n * (op == "("),
+    st.sampled_from(["~", "("]), st.integers(1, 20_000),
+)
+# `p` itself often, so that `prove --goal p` often succeeds.
+_FORMULAS = _mostly(
+    st.lists(_mostly(st.just("p") | _FORMULA_TEXT, _BAD_FORMULA | _JSON), max_size=4), _JSON
+)
+_FIELDS = {
+    "atoms": _mostly(
+        st.lists(st.sampled_from(["p", "q", "r", "s"]), max_size=4),
+        _JSON | st.lists(st.sampled_from(["p", "P", "", "p q", "x1"]), max_size=4),
+    ),
+    "axioms": _FORMULAS,
+    "side_formulas": _FORMULAS,
+    "rules": _mostly(
+        st.lists(_mostly(st.sampled_from([r.value for r in RuleKind]), _JSON), max_size=4),
+        _JSON,
+    ),
+}
+# Each bound is junk (anything but a positive int) or a small positive int,
+# never left to its default, so that every run stays short.
+_JUNK_BOUND = _JSON.filter(lambda v: not (type(v) is int and v > 0))
+_BOUNDS = _mostly(
+    st.fixed_dictionaries(
+        {
+            "max_formula_size": _mostly(st.integers(1, 7), _JUNK_BOUND),
+            "max_generations": _mostly(st.integers(1, 4), _JUNK_BOUND),
+            "max_theorems": _mostly(st.integers(1, 60), _JUNK_BOUND),
+        }
+    ),
+    _SCALARS | st.lists(_JSON, max_size=3),
+)
+
+
+@st.composite
+def _system_texts(draw):
+    """The text of a system file: mostly a document with arbitrary JSON in
+    some of its fields, sometimes a deeply nested one, junk JSON or not
+    JSON at all."""
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        return draw(st.text(max_size=20))
+    if shape == 1:
+        return json.dumps(draw(_JSON))
+    doc = {"bounds": draw(_BOUNDS)}
+    for key, values in _FIELDS.items():
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    if shape == 2:
+        doc[draw(st.text(max_size=6))] = draw(_JSON)
+    text = json.dumps(doc)
+    if shape == 3:
+        n = draw(st.integers(1, 100_000))
+        text = text[:-1] + ', "axioms": ' + "[" * n + "]" * n + "}"
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_system_texts(), fmt=st.sampled_from(["text", "machine"]))
+def test_malformed_system_documents_end_in_an_exit_code(tmp_path_factory, text, fmt):
+    path = tmp_path_factory.mktemp("fuzz") / "system.json"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    for argv in (["enumerate"], ["gap"], ["prove", "--goal", "p"], ["classify", "--entails", "p"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--format", fmt, "--system", str(path)])
+        assert code in (0, 1, 2, 3, 4), (argv, code)
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err)
+        else:
+            assert err.getvalue() == "", (argv, err)
