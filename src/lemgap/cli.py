@@ -27,6 +27,7 @@ from .engine import (
     RuleKind,
     _formula_too_long,
     _rule_name,
+    _unpack,
     check_proof,
     extract_proof,
     load_system,
@@ -268,7 +269,8 @@ def cmd_enumerate(args) -> int:
     system = _load(args)
     result = saturate(system)
     # The run's index columns; no id or proof step is built per theorem.
-    rows = _rows(_texts_of(result._indices, system.store), result._pairs, result.generations)
+    texts = _texts_of(result._indices, system.store)
+    rows = _rows(texts, map(_unpack, result._packed), result.generations)
     if args.format == "machine":
         _emit({"theorems": rows, "stats": asdict(result.stats)})
     else:

@@ -28,6 +28,7 @@ from .formula import (
     Implies,
     Not,
     ParseError,
+    _atom_names,
     _case_splits,
     _closure,
     _indices,
@@ -146,13 +147,18 @@ class AxiomaticSystem:
                 raise ConfigError(f"atoms[{i}]", f"invalid atom name {name!r}")
         if len(declared) != len(self.atoms):
             raise ConfigError("atoms", "duplicate atom names")
+        # One closure over every formula finds whether any atom is
+        # undeclared; only then is each formula scanned, so that the error
+        # names the first one that uses such an atom.
+        used = _atom_names(_indices((*self.axioms, *self.side_formulas), self.store), self.store)
+        undeclared = used - declared
         for field_name, formulas, too_large in (
             ("axioms", self.axioms, AxiomTooLarge),
             ("side_formulas", self.side_formulas, ConfigError),
         ):
             for i, f in enumerate(formulas):
-                for name in atoms_of(f, self.store):
-                    if name not in declared:
+                for name in atoms_of(f, self.store) if undeclared else ():
+                    if name in undeclared:
                         raise ConfigError(f"{field_name}[{i}]", f"uses undeclared atom {name!r}")
                 if size(f, self.store) > self.bounds.max_formula_size:
                     raise too_large(
@@ -176,6 +182,34 @@ class AxiomaticSystem:
 def _rule_name(rule: Optional[RuleKind]) -> str:
     """The name a step's rule is shown by: `AXIOM` for an axiom (None)."""
     return "AXIOM" if rule is None else rule.value
+
+
+# A run keeps each step as one int: the rule's code, its position in
+# _STEP_LAYOUTS (0 for an axiom), in the low 4 bits, then the first premise
+# position from bit _FIRST and the second from bit _SECOND, 32 bits each.
+# Positions fit, as store indices fit the store's `left << 32 | right`
+# keys: 2**32 theorems would need hundreds of GB. Unlike a tuple, an int is
+# not tracked by the cyclic collector.
+_STEP_LAYOUTS = tuple((rule, RULE_ARITY.get(rule, 0)) for rule in (None, *RuleKind))
+_STEP_CODE = {rule: code for code, (rule, _) in enumerate(_STEP_LAYOUTS)}
+_CODE_MASK = 15
+_FIRST, _SECOND = 4, 36
+_POSITION_MASK = (1 << 32) - 1
+
+
+def _pack(rule: Optional[RuleKind], first: int = 0, second: int = 0) -> int:
+    """The step of `rule` on the premise positions `first` and `second`,
+    packed; a rule of fewer premises leaves the others 0."""
+    return _STEP_CODE[rule] | first << _FIRST | second << _SECOND
+
+
+def _unpack(step: int) -> tuple[Optional[RuleKind], tuple[int, ...]]:
+    """The (rule, premises) pair of a packed step; None is an axiom."""
+    rule, arity = _STEP_LAYOUTS[step & _CODE_MASK]
+    if not arity:
+        return rule, ()
+    first = step >> _FIRST & _POSITION_MASK
+    return rule, (first,) if arity == 1 else (first, step >> _SECOND)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,13 +253,13 @@ class EnumerationResult:
     generation numbers. `stop_reason` is `fixed_point`, `max_generations`
     or `max_theorems`.
 
-    A result's step table is its run's store indices (`_indices`) and
-    (rule, premises) pairs (`_pairs`), aligned with `generations`; none of
-    them changes after the run. `theorems` and `steps` are views of it,
-    built on first read, so `gap_report`, `extract_proof` and the
-    `enumerate` command, which read the table, build no id or proof step
-    per theorem. Results compare by theorems, steps, generations and
-    stats.
+    A result's step table is two int columns aligned with `generations`:
+    its run's store indices (`_indices`) and packed steps (`_packed`, one
+    int per step; see `_unpack`). Neither changes after the run.
+    `theorems` and `steps` are views of it, built on first read, so
+    `gap_report`, `extract_proof` and the `enumerate` command, which read
+    the table, build no id or proof step per theorem. Results compare by
+    theorems, steps, generations and stats.
     """
 
     generations: tuple[int, ...]
@@ -233,7 +267,7 @@ class EnumerationResult:
     stop_reason: str
     _store: FormulaStore = field(repr=False)
     _indices: tuple[int, ...] = field(repr=False)
-    _pairs: Sequence[tuple[Optional[RuleKind], tuple[int, ...]]] = field(repr=False)
+    _packed: Sequence[int] = field(repr=False)
 
     @cached_property
     def theorems(self) -> tuple[FormulaId, ...]:
@@ -242,7 +276,7 @@ class EnumerationResult:
     @cached_property
     def steps(self) -> tuple[ProofStep, ...]:
         return tuple(
-            ProofStep(f, rule, premises) for f, (rule, premises) in zip(self.theorems, self._pairs)
+            ProofStep(f, *_unpack(step)) for f, step in zip(self.theorems, self._packed)
         )
 
     def _key(self) -> tuple:
@@ -347,10 +381,7 @@ def load_system(text: str) -> AxiomaticSystem:
 
     atoms_doc = doc.get("atoms")
     if atoms_doc is None:
-        inferred: set[str] = set()
-        for f in (*axioms, *side):
-            inferred.update(atoms_of(f, store))
-        atoms = tuple(sorted(inferred))
+        atoms = tuple(sorted(_atom_names(_indices((*axioms, *side), store), store)))
     else:
         if not isinstance(atoms_doc, list) or not all(isinstance(a, str) for a in atoms_doc):
             raise ConfigError("atoms", "must be a list of atom names")
@@ -452,8 +483,10 @@ class _Saturation:
     """One saturation run over formula indices. Every id it handles was
     issued by `system.store` (checked when the system was built), so the
     loops read the store's columns directly and intern without the
-    checks. The result keeps the run's index columns; no id or proof step
-    is built here.
+    checks. A step is one packed int (see `_pack`), which each rule builds
+    with shifts and ors as it derives a conclusion, so admitting a theorem
+    allocates no tuple. The result keeps the run's index columns; no id or
+    proof step is built here.
 
     `admit_generation` sorts each new generation by (size, text), and the
     rules rely on it: AND_INTRO's budget lists and OR_INTRO's cut of delta
@@ -479,7 +512,7 @@ class _Saturation:
         # Non-decreasing, because the universe is sorted by (size, text).
         self.universe_sizes = [self.sizes[sigma] for sigma in self.universe]
         self.theorems: list[int] = []
-        self.pairs: list[tuple[Optional[RuleKind], tuple[int, ...]]] = []  # (rule, premises)
+        self.steps: list[int] = []  # packed
         self.generations: list[int] = []
         self.position: dict[int, int] = {}
         # upto[b]: ascending positions of the theorems of size at most b, for
@@ -497,18 +530,18 @@ class _Saturation:
         self.open_conjunctions: list[int] = []
         self.applications = 0
         self.dedup_hits = 0
-        # Per-round scratch: conclusion -> (rule, premises) that first derived
+        # Per-round scratch: conclusion -> the packed step that first derived
         # it, and the conjunctions among them that came through `offer`.
-        self.candidates: dict[int, tuple[Optional[RuleKind], tuple[int, ...]]] = {}
+        self.candidates: dict[int, int] = {}
         self.offered_conjunctions: list[int] = []
 
-    def offer(self, conclusion: int, rule: Optional[RuleKind], premises: tuple[int, ...]) -> None:
+    def offer(self, conclusion: int, step: int) -> None:
         if self.sizes[conclusion] > self.max_size:
             return
         if conclusion in self.position or conclusion in self.candidates:
             self.dedup_hits += 1
             return
-        self.candidates[conclusion] = (rule, premises)
+        self.candidates[conclusion] = step
         if self.kinds[conclusion] == AND:
             self.offered_conjunctions.append(conclusion)
 
@@ -521,7 +554,7 @@ class _Saturation:
         del ordered[room:]
         first = len(self.theorems)
         self.theorems += ordered
-        self.pairs += map(candidates.__getitem__, ordered)
+        self.steps += map(candidates.__getitem__, ordered)
         self.generations += repeat(gen, len(ordered))
         self.position.update(zip(ordered, range(first, len(self.theorems))))
         if self.upto and ordered:
@@ -544,13 +577,15 @@ class _Saturation:
             self.impl_by_antecedent.setdefault(self.lefts[self.theorems[j]], []).append(j)
 
     def seed(self) -> None:
+        axiom = _pack(None)
         for ax in self.system.axioms:
-            self.offer(ax.index, None, ())
+            self.offer(ax.index, axiom)
         if RuleKind.LEM_AXIOM in self.rules:
             self.applications += 1
             store = self.store
+            lem = _pack(RuleKind.LEM_AXIOM)
             for x in self.universe:
-                self.offer(store._intern_binary(OR, x, store._neg(x)), RuleKind.LEM_AXIOM, ())
+                self.offer(store._intern_binary(OR, x, store._neg(x)), lem)
         self.admit_generation(0)
 
     def round(self, delta: range) -> None:
@@ -588,9 +623,10 @@ class _Saturation:
         for i, implications in found:
             if i is not None and i >= delta.start:
                 pairs.update((i, j) for j in implications)
+        mp = _pack(RuleKind.MP)
         for i, j in sorted(pairs):
             self.applications += 1
-            self.offer(self.rights[theorems[j]], RuleKind.MP, (i, j))
+            self.offer(self.rights[theorems[j]], mp | i << _FIRST | j << _SECOND)
 
     def run_and_intro(self, delta: range) -> None:
         # Every pair (i, j) with i or j in delta whose conjunction fits,
@@ -603,18 +639,20 @@ class _Saturation:
         intern = self.store._intern_binary
         start = delta.start
         in_delta = [bucket[bisect_left(bucket, start):] for bucket in self.upto]
+        and_intro = _pack(RuleKind.AND_INTRO)
         dedup_hits = 0
         for i in self.upto[-1]:
             left = theorems[i]
             budget = min(self.max_size - 1 - sizes[left], len(in_delta) - 1)
             partners = self.upto[budget] if i >= start else in_delta[budget]
             self.applications += len(partners)
+            first = and_intro | i << _FIRST
             for j in partners:
                 conclusion = intern(AND, left, theorems[j])
                 if conclusion in position or conclusion in candidates:
                     dedup_hits += 1
                 else:
-                    candidates[conclusion] = (RuleKind.AND_INTRO, (i, j))
+                    candidates[conclusion] = first | j << _SECOND
         self.dedup_hits += dedup_hits
 
     def run_and_elim(self, delta: range) -> None:
@@ -633,10 +671,10 @@ class _Saturation:
             f = self.theorems[i]
             if elim_left:
                 self.applications += 1
-                self.offer(self.lefts[f], RuleKind.AND_ELIM_L, (i,))
+                self.offer(self.lefts[f], _pack(RuleKind.AND_ELIM_L, i))
             if elim_right:
                 self.applications += 1
-                self.offer(self.rights[f], RuleKind.AND_ELIM_R, (i,))
+                self.offer(self.rights[f], _pack(RuleKind.AND_ELIM_R, i))
 
     def run_or_intro(self, delta: range) -> None:
         """Each theorem of delta is one application. Only those that fit
@@ -654,11 +692,12 @@ class _Saturation:
         fitting = bisect_right(
             theorems, self.max_size - 1 - smallest, delta.start, delta.stop, key=sizes.__getitem__
         )
+        or_intro = _pack(RuleKind.OR_INTRO)
         dedup_hits = 0
         for i in range(delta.start, fitting):
             phi = theorems[i]
             budget = self.max_size - 1 - sizes[phi]
-            step = (RuleKind.OR_INTRO, (i,))
+            step = or_intro | i << _FIRST
             for sigma, sigma_size in zip(self.universe, self.universe_sizes):
                 if sigma_size > budget:
                     break
@@ -672,14 +711,14 @@ class _Saturation:
     def run_lbi(self, delta: range) -> None:
         for i, _, conclusion in _lbi_shapes(self.theorems, self.new_implications, self.store):
             self.applications += 1
-            self.offer(conclusion, RuleKind.LBI_RULE, (i,))
+            self.offer(conclusion, _pack(RuleKind.LBI_RULE, i))
 
     def run_case_split(self, delta: range) -> None:
         theorems = self.theorems
         pairs = _case_splits(theorems, self.new_implications, self.position, self.store)
         for i, j in sorted(set(pairs)):
             self.applications += 1
-            self.offer(self.rights[theorems[i]], RuleKind.CASE_SPLIT, (i, j))
+            self.offer(self.rights[theorems[i]], _pack(RuleKind.CASE_SPLIT, i, j))
 
     def run(self) -> EnumerationResult:
         self.seed()
@@ -710,7 +749,7 @@ class _Saturation:
             stop_reason=stop_reason,
             _store=self.store,
             _indices=tuple(self.theorems),
-            _pairs=self.pairs,
+            _packed=self.steps,
         )
 
 
@@ -732,8 +771,10 @@ def saturate(system: AxiomaticSystem) -> EnumerationResult:
 
     The cyclic garbage collector is paused during the run: a run makes
     no reference cycles, so a collection would only walk its growing
-    heap. The collector's previous state is restored on return, and on
-    an exception too; a collector the caller disabled stays disabled.
+    heap. What the run keeps per theorem, ints and texts, is not tracked
+    by the collector, so the collections that follow the run do not walk
+    it either. The collector's previous state is restored on return, and
+    on an exception too; a collector the caller disabled stays disabled.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -753,27 +794,26 @@ def extract_proof(result: EnumerationResult, goal: FormulaId) -> tuple[ProofStep
 
     Premise indices are rewritten to positions within the returned tuple.
     Raises NotDerived when the goal never made it into the enumeration.
-    Reads the run's step table, and builds the proof's steps only, not the
-    run's.
+    Reads the run's step table, unpacks each step the proof needs once,
+    and builds the proof's steps only, not the run's.
     """
     target = result.index_of(goal)
     if target is None:
         raise NotDerived("goal is not among the enumerated theorems")
-    pairs = result._pairs
-    needed: set[int] = set()
+    packed = result._packed
+    needed: dict[int, tuple[Optional[RuleKind], tuple[int, ...]]] = {}
     stack = [target]
     while stack:
         i = stack.pop()
-        if i in needed:
-            continue
-        needed.add(i)
-        stack.extend(pairs[i][1])
+        if i not in needed:
+            needed[i] = step = _unpack(packed[i])
+            stack += step[1]
     ordered = sorted(needed)
-    renumber = {old: new for new, old in enumerate(ordered)}
-    conclusions = result._store._ids(result._indices[old] for old in ordered)
+    renumber = {old: new for new, old in enumerate(ordered)}.__getitem__
+    conclusions = result._store._ids(map(result._indices.__getitem__, ordered))
     return tuple(
-        ProofStep(conclusion, pairs[old][0], tuple(renumber[p] for p in pairs[old][1]))
-        for conclusion, old in zip(conclusions, ordered)
+        ProofStep(conclusion, rule, tuple(map(renumber, premises)))
+        for conclusion, (rule, premises) in zip(conclusions, map(needed.__getitem__, ordered))
     )
 
 

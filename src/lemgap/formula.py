@@ -247,10 +247,16 @@ def _closure(indices: Iterable[int], store: FormulaStore) -> set[int]:
     return out
 
 
+def _atom_names(indices: Iterable[int], store: FormulaStore) -> set[str]:
+    """Names of the atoms occurring in the indexed formulas, found by one
+    `_closure` over them all."""
+    names = store._names
+    return set(map(names.__getitem__, _closure(indices, store).intersection(names)))
+
+
 def atoms_of(f: FormulaId, store: FormulaStore) -> tuple[str, ...]:
     """Sorted distinct atom names occurring in f."""
-    names = store._names
-    return tuple(sorted({names[i] for i in _closure(_indices((f,), store), store) if i in names}))
+    return tuple(sorted(_atom_names(_indices((f,), store), store)))
 
 
 def subformula_closure(fs: Iterable[FormulaId], store: FormulaStore) -> frozenset[FormulaId]:
@@ -471,11 +477,43 @@ _INFIX = {
 }
 
 
-def _slot(child: int, required: int, texts: Sequence[Optional[str]], kinds: Sequence[int]) -> str:
-    text = texts[child]
-    if _LEVELS[kinds[child]] < required:
-        return "(" + text + ")"
-    return text
+def _render_ready(order: Iterable[int], store: FormulaStore) -> list[int]:
+    """Render, in `order`, each node without text whose children have
+    texts, and return the nodes without text whose children do not. This
+    is the one definition of a node's text. The indices are not checked."""
+    texts, names = store._texts, store._names
+    kinds, lefts, rights = store._kinds, store._lefts, store._rights
+    levels, infixes = _LEVELS, _INFIX
+    waiting = []
+    for i in order:
+        if texts[i] is not None:
+            continue
+        kind = kinds[i]
+        if kind == ATOM:
+            texts[i] = names[i]
+            continue
+        left = lefts[i]
+        left_text = texts[left]
+        if kind == NOT:
+            if left_text is None:
+                waiting.append(i)
+            elif levels[kinds[left]] < _LEVEL_UNARY:
+                texts[i] = "~(" + left_text + ")"
+            else:
+                texts[i] = "~" + left_text
+            continue
+        right = rights[i]
+        right_text = texts[right]
+        if left_text is None or right_text is None:
+            waiting.append(i)
+            continue
+        infix, left_level, right_level = infixes[kind]
+        if levels[kinds[left]] < left_level:
+            left_text = "(" + left_text + ")"
+        if levels[kinds[right]] < right_level:
+            right_text = "(" + right_text + ")"
+        texts[i] = left_text + infix + right_text
+    return waiting
 
 
 def _fill_texts(indices: Iterable[int], store: FormulaStore) -> list[Optional[str]]:
@@ -486,14 +524,19 @@ def _fill_texts(indices: Iterable[int], store: FormulaStore) -> list[Optional[st
     shared subterms a node's text can be exponentially longer than the
     store, so unrelated nodes are never touched. The indices are not
     checked.
+
+    A formula whose children already have texts, such as each saturation
+    candidate, is rendered in one pass over `indices`. Only the others
+    are walked, to find their subformulas without text, which are then
+    rendered in ascending index order, children before their parents.
     """
     texts = store._texts
     kinds, lefts, rights = store._kinds, store._lefts, store._rights
     texts.extend([None] * (len(kinds) - len(texts)))
+    stack = _render_ready(indices, store)
     # A node with text has texts for all its subformulas, so the walk
     # stops there.
     missing: set[int] = set()
-    stack = [i for i in indices if texts[i] is None]
     while stack:
         i = stack.pop()
         if texts[i] is not None or i in missing:
@@ -504,19 +547,7 @@ def _fill_texts(indices: Iterable[int], store: FormulaStore) -> list[Optional[st
             stack.append(lefts[i])
         elif kind != ATOM:
             stack += (lefts[i], rights[i])
-    # Ascending index order renders children before their parents.
-    names = store._names
-    for i in sorted(missing):
-        kind = kinds[i]
-        if kind == ATOM:
-            text = names[i]
-        elif kind == NOT:
-            text = "~" + _slot(lefts[i], _LEVEL_UNARY, texts, kinds)
-        else:
-            infix, left_level, right_level = _INFIX[kind]
-            left_text = _slot(lefts[i], left_level, texts, kinds)
-            text = left_text + infix + _slot(rights[i], right_level, texts, kinds)
-        texts[i] = text
+    _render_ready(sorted(missing), store)
     return texts
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -129,6 +130,14 @@ def test_load_system_undeclared_atom():
     with pytest.raises(ConfigError) as err:
         load_system('{"atoms": ["p"], "axioms": ["p -> q"]}')
     assert err.value.field == "axioms[0]"
+
+
+def test_load_system_names_the_first_formula_with_an_undeclared_atom():
+    # `q` sorts before `r`, but the first axiom using an undeclared atom
+    # uses `r`, and the error names that axiom and its first such atom.
+    with pytest.raises(ConfigError) as err:
+        load_system('{"atoms": ["p"], "axioms": ["p", "p & (s | r)", "q"]}')
+    assert (err.value.field, err.value.reason) == ("axioms[1]", "uses undeclared atom 'r'")
 
 
 def test_load_system_invalid_json():
@@ -628,7 +637,7 @@ def test_extract_proof_chain_steps_before_and_after_reading_the_run_steps():
     goal = parse("d", store)
     before = extract_proof(result, goal)
     assert [(render(s.conclusion, store), s.rule_name, s.premises) for s in before] == expected
-    result.steps  # replaces the run's (rule, premises) pairs
+    result.steps  # builds a view; the run's packed steps stay as they were
     assert extract_proof(result, goal) == before
     assert check_proof(before, system) is None
 
@@ -660,6 +669,33 @@ def test_stop_reason_names_what_ended_the_run(axioms, rules, bounds, reason):
     result = saturate(mk_system(axioms, rules, **bounds))
     assert result.stop_reason == reason
     assert result.stats.fixed_point_reached is (reason == "fixed_point")
+
+
+# --- the step table -----------------------------------------------------------
+
+@pytest.mark.parametrize("rule", [None, *RuleKind], ids=lambda r: "AXIOM" if r is None else r.value)
+def test_packed_steps_round_trip(rule):
+    # Positions 0 and 2**32 - 1 are the bounds of a premise's 32 bits; a
+    # two-premise rule also gets equal premises, AND_INTRO's `i & i`.
+    arity = 0 if rule is None else engine.RULE_ARITY[rule]
+    for premises in itertools.product((0, 1, 2**32 - 1), repeat=arity):
+        assert engine._unpack(engine._pack(rule, *premises)) == (rule, premises)
+
+
+def test_extract_proof_on_s7_reads_the_pinned_steps():
+    # `steps_digest` pins the run's steps below; every step of an extracted
+    # proof must be the run's step for the same theorem, renumbered.
+    system = load_system(json.dumps({**S9_DOC, "bounds": {"max_formula_size": 7}}))
+    result = saturate(system)
+    assert steps_digest(result, system.store) == S7_DIGEST
+    position = {f: i for i, f in enumerate(result.theorems)}
+    for goal in result.theorems[::97]:
+        proof = extract_proof(result, goal)
+        for step in proof:
+            run_step = result.steps[position[step.conclusion]]
+            assert step.rule is run_step.rule
+            assert [position[proof[p].conclusion] for p in step.premises] == list(run_step.premises)
+        assert check_proof(proof, system) is None
 
 
 # --- golden proof steps --------------------------------------------------------
@@ -858,6 +894,30 @@ def test_saturate_restores_the_collector_state_when_a_run_raises(
     with pytest.raises(RuntimeError, match="boom"):
         saturate(mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q")))
     assert gc.isenabled() is enabled
+
+
+def test_saturation_keeps_no_tracked_object_per_theorem(collector_state):
+    # A step is a packed int and a text a str, neither tracked by the
+    # collector, so what a run leaves tracked is the same for any run.
+    def chain(n):
+        return mk_system(
+            ["a0"] + [f"a{i} -> a{i + 1}" for i in range(n)], [RuleKind.MP],
+            max_generations=n + 1,
+        )
+
+    s7 = load_system(json.dumps({**S9_DOC, "bounds": {"max_formula_size": 7}}))
+    systems = [chain(200), chain(2000), s7]
+    gc.disable()
+    for system in systems:  # whatever a first run sets up once
+        saturate(system)
+    growth = []
+    for system in systems:
+        gc.collect()
+        before = len(gc.get_objects())
+        result = saturate(system)
+        growth.append(len(gc.get_objects()) - before)
+        del result
+    assert growth[0] == growth[1] == growth[2]
 
 
 @pytest.mark.parametrize(
