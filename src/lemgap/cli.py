@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict, replace
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from .engine import (
     MAX_FORMULA_BYTES,
@@ -78,27 +78,64 @@ _SCALARS = {
 _CHUNK = 4096
 
 
+class _RowTable(NamedTuple):
+    """A step table as output: the field names, and one tuple per step
+    holding its fields in that order. A row's fields are ints, then the
+    formula and rule texts, then the premises, a tuple of ints."""
+
+    fields: tuple[str, ...]
+    rows: list[tuple]
+
+
+def _row_templates(fields: tuple[str, ...], rows: list[tuple], inner: str) -> list[str]:
+    """The `%` template of a row of `fields` at indent `inner`, indexed by
+    the number of premises, up to the most any row has: the ints by `%d`
+    and the texts by `%s`, to be given quoted."""
+    field = inner + "  "
+    item = field + "  "
+    specs = ["%d"] * (len(fields) - 3) + ["%s", "%s"]
+    head = "{" + "".join(
+        f"{field}{_quote(name)}: {spec}," for name, spec in zip(fields, specs)
+    ) + f"{field}{_quote(fields[-1])}: "
+    return [
+        head + ("[" + item + ("," + item).join(["%d"] * n) + field + "]" if n else "[]")
+        + inner + "}"
+        for n in range(1 + max(len(row[-1]) for row in rows))
+    ]
+
+
 def _encode(value: object, newline: str, pieces: list[str], out: TextIO) -> None:
     """Append the JSON text of `value` to `pieces`, laid out as
     `json.dumps(value, indent=2)` lays it out; `newline` is a newline plus
-    the current indent. A full chunk of list items is written to `out`.
-    Raises TypeError on any type but dict, list, str, int, bool and None,
-    and on a key that is not a str."""
+    the current indent. A `_RowTable` is laid out as the list of its rows
+    as dicts of its fields. A full chunk of list items or rows is written
+    to `out`. Raises TypeError on any type but dict, list, `_RowTable`,
+    str, int, bool and None, and on a key that is not a str."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         pieces.append(scalar(value))
-    elif type(value) is list:
+    elif type(value) is list or type(value) is _RowTable:
+        fields = None
+        if type(value) is _RowTable:
+            fields, value = value
         if not value:
             pieces.append("[]")
             return
         inner = newline + "  "
         separator = "," + inner
+        # Each row of a row table is one `%` format, by templates built once.
+        templates = None if fields is None else _row_templates(fields, value, inner)
         pieces.append("[" + inner)
         for start in range(0, len(value), _CHUNK):
             chunk = value[start:start + _CHUNK]
             if start:
                 pieces.append(separator)
-            if {str}.issuperset(map(type, chunk)):
+            if templates is not None:
+                pieces.append(separator.join([
+                    templates[len(premises)] % (*numbers, _quote(formula), _quote(rule), *premises)
+                    for *numbers, formula, rule, premises in chunk
+                ]))
+            elif {str}.issuperset(map(type, chunk)):
                 pieces.append(separator.join(map(_quote, chunk)))
             else:
                 for k, item in enumerate(chunk):
@@ -128,10 +165,12 @@ def _encode(value: object, newline: str, pieces: list[str], out: TextIO) -> None
 
 def _emit(doc: object, out: Optional[TextIO] = None) -> None:
     """Write `doc` to `out` (stdout by default) as the bytes of
-    `json.dump(doc, out, indent=2)` plus a newline. Lists of strings, the
-    bulk of the enumeration and gap documents, are encoded a chunk at a time
-    by one `str.join`, and each full chunk is written as it is done, so the
-    whole document is never one string. Unlike `json.dump` with an indent,
+    `json.dump(doc, out, indent=2)` plus a newline, a `_RowTable` standing
+    for the list of its rows as dicts. The bulk of a document, the lists of
+    strings of a gap report or the row table of `enumerate` and `prove`, is
+    encoded a chunk at a time by one `str.join`, each row of a table by one
+    `%` format. Each full chunk is written as it is done, so the whole
+    document is never one string. Unlike `json.dump` with an indent,
     which takes the stdlib's pure-Python encoder and leaves its closures in
     reference cycles on every call, this leaves no cyclic garbage."""
     out = sys.stdout if out is None else out
@@ -181,31 +220,29 @@ def _load(args) -> AxiomaticSystem:
 
 def _rows(
     texts: Iterable[str], pairs: Iterable[tuple], generations: Optional[Sequence[int]] = None
-) -> list[dict]:
-    """One row per step of a step table: the formula texts and the aligned
+) -> _RowTable:
+    """The row table of a step table: the formula texts and the aligned
     (rule, premises) pairs, and generation numbers when given. The fields
-    come in the machine output's order: index, generation, formula, rule,
-    premises."""
-    rows = []
-    for i, (formula, (rule, premises)) in enumerate(zip(texts, pairs)):
-        row = {"index": i}
-        if generations is not None:
-            row["generation"] = generations[i]
-        row["formula"] = formula
-        row["rule"] = _rule_name(rule)
-        row["premises"] = list(premises)
-        rows.append(row)
-    return rows
+    come in the machine output's order: index, generation (when given),
+    formula, rule, premises."""
+    if generations is None:
+        return _RowTable(("index", "formula", "rule", "premises"), [
+            (i, formula, _rule_name(rule), premises)
+            for i, (formula, (rule, premises)) in enumerate(zip(texts, pairs))
+        ])
+    return _RowTable(("index", "generation", "formula", "rule", "premises"), [
+        (i, generation, formula, _rule_name(rule), premises)
+        for i, (generation, formula, (rule, premises)) in enumerate(zip(generations, texts, pairs))
+    ])
 
 
-def _print_rows(rows: list[dict]) -> None:
+def _print_rows(table: _RowTable) -> None:
     """The text output of a step table, one line per row."""
-    for row in rows:
-        label = row["rule"]
-        if row["premises"]:
-            label += " " + ",".join(map(str, row["premises"]))
-        gen = f"  gen {row['generation']}" if "generation" in row else ""
-        print(f"{row['index']:4d}{gen}  {label:<16} {row['formula']}")
+    for index, *generation, formula, label, premises in table.rows:
+        if premises:
+            label += " " + ",".join(map(str, premises))
+        gen = f"  gen {generation[0]}" if generation else ""
+        print(f"{index:4d}{gen}  {label:<16} {formula}")
 
 
 def cmd_parse(args) -> int:

@@ -75,6 +75,12 @@ class RuleKind(enum.Enum):
     LBI_RULE = "LBI_RULE"      # (x | ~x) -> y  |-  y
     CASE_SPLIT = "CASE_SPLIT"  # x -> y, ~x -> y  |-  y
 
+    # Members are singletons that compare by identity, so they hash by it,
+    # in C (`Enum.__hash__` is Python code): saturation and proof checking
+    # look rules up per generation and per step. A set of rules iterates
+    # in address order, so no output may depend on that order.
+    __hash__ = object.__hash__
+
 
 RULE_ARITY = {
     RuleKind.MP: 2,

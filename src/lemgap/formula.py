@@ -379,30 +379,30 @@ _TOKEN = re.compile(r"\s*(" + "|".join(map(re.escape, _TOKEN_ALIASES)) + r"|[a-z
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Produce (kind, lexeme, byte offset) triples, with a trailing 'end'."""
+    """Produce (kind, lexeme, character offset) triples, with a trailing
+    'end'. A ParseError, raised here or through `_unexpected`, gives its
+    offset in UTF-8 bytes: only then is the text before it encoded."""
     tokens: list[tuple[str, str, int]] = []
-    i = offset = 0  # character and UTF-8 byte position
+    i = 0
     while True:
         m = _TOKEN.match(text, i)
-        offset += len(text[i : m.start(1)].encode("utf-8"))  # skipped whitespace
+        i = m.end()
         if not (lexeme := m.group(1)):
             break
-        tokens.append((_TOKEN_ALIASES.get(lexeme, "atom"), lexeme, offset))
-        offset += len(lexeme.encode("utf-8"))
-        i = m.end()
-    if m.end() < len(text):
-        raise ParseError(f"unexpected character {text[m.end()]!r}", offset)
-    tokens.append(("end", "", offset))
+        tokens.append((_TOKEN_ALIASES.get(lexeme, "atom"), lexeme, m.start(1)))
+    if i < len(text):
+        raise ParseError(f"unexpected character {text[i]!r}", len(text[:i].encode("utf-8")))
+    tokens.append(("end", "", i))
     return tokens
 
 
 _PRIMARY_EXPECTED = ("atom", "'('", "'~'")
 
 
-def _unexpected(token: tuple[str, str, int], expected: tuple[str, ...]) -> ParseError:
-    kind, lexeme, offset = token
+def _unexpected(text: str, token: tuple[str, str, int], expected: tuple[str, ...]) -> ParseError:
+    kind, lexeme, i = token
     what = "end of input" if kind == "end" else f"unexpected token {lexeme!r}"
-    return ParseError(what, offset, expected)
+    return ParseError(what, len(text[:i].encode("utf-8")), expected)
 
 
 def parse(text: str, store: FormulaStore) -> FormulaId:
@@ -428,7 +428,7 @@ def parse(text: str, store: FormulaStore) -> FormulaId:
             pending.append((token[0], -1))
             continue
         if token[0] != "atom":
-            raise _unexpected(token, _PRIMARY_EXPECTED)
+            raise _unexpected(text, token, _PRIMARY_EXPECTED)
         f = store._atom(token[1])  # the token pattern admits only atom names
         # Close every construct the operand completes, up to the next
         # binary operator, which is then pushed with f as its left operand.
@@ -449,10 +449,10 @@ def parse(text: str, store: FormulaStore) -> FormulaId:
                 f = store._intern_binary(IMPLIES, pending.pop()[1], f)
             if not pending:
                 if kind != "end":
-                    raise _unexpected(tokens[pos], ("'&'", "'|'", "'->'", "end of input"))
+                    raise _unexpected(text, tokens[pos], ("'&'", "'|'", "'->'", "end of input"))
                 return store._id(f)
             if kind != ")":  # the top of the stack is now a "(" marker
-                raise _unexpected(tokens[pos], ("')'",))
+                raise _unexpected(text, tokens[pos], ("')'",))
             pending.pop()
             pos += 1
         pending.append((kind, f))

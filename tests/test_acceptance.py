@@ -168,7 +168,21 @@ def test_byte_determinism_across_processes(tmp_path):
     cli("demo", "--variant", "EQ1", "--out", str(eq1))
     cli("demo", "--variant", "TWO_BRANCH", "--out", str(two_branch))
 
+    # Rules hash by identity, so a set of them iterates in address order,
+    # which may differ between processes: a multi-step MP proof, and a run
+    # of every rule S9 enables.
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"axioms": ["p", "p -> q", "q -> r", "r -> s"]}))
+    s6 = tmp_path / "s6.json"
+    s6.write_text(json.dumps({
+        "axioms": ["p", "q -> r", "(p | ~p) -> q", "~s -> r"],
+        "rules": ["MP", "AND_INTRO", "AND_ELIM_L", "AND_ELIM_R", "OR_INTRO"],
+        "bounds": {"max_formula_size": 6},
+    }))
+
     commands = [
+        ("prove", "--format", "machine", "--system", str(chain), "--goal", "s"),
+        ("enumerate", "--format", "machine", "--system", str(s6)),
         ("enumerate", "--format", "machine", "--system", str(eq1)),
         ("enumerate", "--format", "machine", "--system", str(two_branch)),
         ("gap", "--format", "machine", "--system", str(eq1), "--close-with", "LBI_RULE"),

@@ -491,6 +491,51 @@ def test_emit_writes_the_bytes_of_json_dumps(doc):
     assert out.getvalue().encode() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
+# Formula texts with quotes, backslashes, control and non-ASCII characters.
+_ROW_TEXTS = st.text(st.sampled_from('pq_~&|()-> "\\\x01\x7f\u00ac\u2227\U0001d4ab')) | st.text()
+_PREMISES = st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=2).map(tuple)
+_RULES = st.sampled_from([None, *RuleKind])
+
+
+def _table_as_dicts(table):
+    return [dict(zip(table.fields, (*row[:-1], list(row[-1])))) for row in table.rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_ROW_TEXTS, _RULES, _PREMISES, st.integers(0, 2**32 - 1)), max_size=8),
+    st.booleans(),
+    st.sampled_from(["top", "dict", "list"]),
+)
+def test_emit_writes_row_tables_as_json_dumps(steps, dated, where):
+    table = cli._rows(
+        [text for text, *_ in steps],
+        [(rule, premises) for _, rule, premises, _ in steps],
+        [generation for *_, generation in steps] if dated else None,
+    )
+    wrap = {"top": lambda x: x, "dict": lambda x: {"goal": "q", "steps": x}, "list": lambda x: [x]}
+    out = io.StringIO()
+    cli._emit(wrap[where](table), out)
+    expected = json.dumps(wrap[where](_table_as_dicts(table)), indent=2) + "\n"
+    assert out.getvalue().encode() == expected.encode()
+
+
+def test_emit_writes_a_row_table_longer_than_a_chunk_in_chunks():
+    n = cli._CHUNK + 1
+    table = cli._rows(
+        [f"a{i} -> \"\u00ac\"" for i in range(n)],
+        [(RuleKind.MP, (i, 2**32 - 1)) if i % 3 else (None, ()) for i in range(n)],
+        range(n),
+    )
+    writes = []
+    out = io.StringIO()
+    out.write = writes.append
+    cli._emit({"theorems": table, "stats": {}}, out)
+    expected = json.dumps({"theorems": _table_as_dicts(table), "stats": {}}, indent=2) + "\n"
+    assert "".join(writes) == expected
+    assert len(writes) == 2  # the full chunk, then the rest
+
+
 @pytest.mark.parametrize(
     "doc", [1.5, (1, 2), {1: "a"}, {"a": [{"b": {None: 1}}]}, [b"x"], {"s": {"x"}}]
 )

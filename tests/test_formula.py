@@ -140,6 +140,11 @@ def test_parse_error_offset_is_bytes():
     with pytest.raises(ParseError) as err:
         parse("¬p ¬", store)
     assert err.value.offset == 4
+    # A stray character after a multi-byte sign: '#' starts at byte 4.
+    with pytest.raises(ParseError) as err:
+        parse("¬p # q", store)
+    assert err.value.offset == 4
+    assert err.value.message == "unexpected character '#'"
     # Multi-byte whitespace counts in bytes too: U+3000 is 3 bytes and
     # U+00A0 is 2, so the stray ')' starts at byte 1 + 3 + 1 + 2 = 7.
     with pytest.raises(ParseError) as err:
