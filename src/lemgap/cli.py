@@ -6,7 +6,8 @@ stderr. Exit codes: 0 success, 1 usage/config error (including a
 system file over MAX_SYSTEM_BYTES, 1 MiB, or not valid UTF-8, and a
 formula in it over MAX_FORMULA_BYTES, 16 KiB), 2 formula parse error
 (including a formula argument over MAX_FORMULA_BYTES), 3 goal not
-derived, 4 oracle atom limit exceeded.
+derived, 4 oracle atom limit exceeded, 5 out of memory (a last resort:
+one stderr line, `error: out of memory`, instead of a traceback).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_NOT_DERIVED = 3
 EXIT_ORACLE_LIMIT = 4
+EXIT_OUT_OF_MEMORY = 5
 
 # Largest system file, in bytes; bounds what loading a system can parse.
 MAX_SYSTEM_BYTES = 1 << 20
@@ -467,6 +469,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # A last resort: the handler runs once the frames that held the
+        # memory have unwound, so the line can still be printed.
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 def entry() -> None:

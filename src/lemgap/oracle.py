@@ -2,8 +2,14 @@
 
 Everything here is exhaustive over assignments (bitmask evaluation, one bit
 per assignment), deterministic, and capped at ATOM_LIMIT atoms. Truth
-masks are computed in one ascending pass over store indices, children
-before parents, so formula depth is not limited by recursion.
+masks are computed in post-order on an explicit stack, so formula depth
+is not limited by recursion. Of a node's two children, the one that needs
+more live masks is done first (Sethi-Ullman labelling); each mask is
+dropped once its last reader has read it, and a requested mask is handed
+on as soon as it is finished. So a query's memory follows the most masks
+live at once, not the formula's size: a left-nested `&` of 4,096 atom
+occurrences over 20 atoms holds at most two masks beside its 20 atom
+masks.
 
 `entails` and `independent` keep, per store, the table of the last axiom
 set they were asked about: one truth mask per axiom atom, the models mask
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import weakref
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .formula import AND, ATOM, NOT, OR, FormulaId, FormulaStore, _closure, atoms_of
 
@@ -83,7 +89,8 @@ def evaluate(f: FormulaId, assignment: Assignment, store: FormulaStore) -> bool:
             raise MissingAtom(name) from None
 
     assert f in store, "FormulaId belongs to a different store"
-    return _masks([f.index], atom_value, 1, store)[f.index] == 1
+    ((_, mask),) = _masks((f.index,), atom_value, 1, store)
+    return mask == 1
 
 
 def _masks(
@@ -91,28 +98,85 @@ def _masks(
     atom_mask: Callable[[str], int],
     full: int,
     store: FormulaStore,
-) -> dict[int, int]:
-    """Truth mask of every subformula of the indexed formulas, by index.
+) -> Iterator[tuple[int, int]]:
+    """(index, truth mask) of each indexed formula, in the order given.
 
     Bit j of a mask is the formula's value in assignment j; `full` has
-    every assignment's bit set. Walks the subformulas in ascending index
-    order, so both children of a node are done before the node.
+    every assignment's bit set. A formula given twice is yielded once.
+
+    One ascending pass over the subformulas (children before parents)
+    counts each one's readers (its parents, plus one if it is requested)
+    and labels it with the masks its evaluation needs live at once: an
+    atom 1, a negation what its child needs, a binary node the larger of
+    its children's needs, or one more when they are equal. Then each
+    requested formula is evaluated in post-order on an explicit stack,
+    the child of larger need first, so the one mask it leaves waits
+    through the cheaper child. A mask is dropped after its last read. A
+    requested mask is yielded when it is finished and its turn has come;
+    one finished inside an earlier request waits for its turn. So memory
+    follows the most masks live at once, not the formula's size. Atom
+    masks come from `atom_mask` and are not copied.
     """
     kinds, lefts, rights, names = store._kinds, store._lefts, store._rights, store._names
-    masks: dict[int, int] = {}
-    for i in sorted(_closure(indices, store)):
+    roots = list(dict.fromkeys(indices))
+    readers: dict[int, int] = {}
+    need: dict[int, int] = {}
+    for i in sorted(_closure(roots, store)):
+        readers[i] = 0
         kind = kinds[i]
         if kind == ATOM:
-            masks[i] = atom_mask(names[i])
+            need[i] = 1
         elif kind == NOT:
-            masks[i] = full ^ masks[lefts[i]]
-        elif kind == AND:
-            masks[i] = masks[lefts[i]] & masks[rights[i]]
-        elif kind == OR:
-            masks[i] = masks[lefts[i]] | masks[rights[i]]
+            readers[lefts[i]] += 1
+            need[i] = need[lefts[i]]
         else:
-            masks[i] = (full ^ masks[lefts[i]]) | masks[rights[i]]
-    return masks
+            left, right = lefts[i], rights[i]
+            readers[left] += 1
+            readers[right] += 1
+            a, b = need[left], need[right]
+            need[i] = a + 1 if a == b else max(a, b)
+    for i in roots:
+        readers[i] += 1
+
+    masks: dict[int, int] = {}
+
+    def read(i: int) -> int:
+        remaining = readers[i] - 1
+        if remaining:
+            readers[i] = remaining
+            return masks[i]
+        return masks.pop(i)
+
+    for root in roots:
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            if i >= 0:
+                if i in masks:
+                    continue
+                kind = kinds[i]
+                if kind == ATOM:
+                    masks[i] = atom_mask(names[i])
+                    continue
+                stack.append(~i)  # evaluate i once its children are done
+                if kind == NOT:
+                    stack.append(lefts[i])
+                elif need[lefts[i]] < need[rights[i]]:
+                    stack += (lefts[i], rights[i])
+                else:
+                    stack += (rights[i], lefts[i])
+                continue
+            i = ~i
+            kind = kinds[i]
+            if kind == NOT:
+                masks[i] = full ^ read(lefts[i])
+            elif kind == AND:
+                masks[i] = read(lefts[i]) & read(rights[i])
+            elif kind == OR:
+                masks[i] = read(lefts[i]) | read(rights[i])
+            else:
+                masks[i] = (full ^ read(lefts[i])) | read(rights[i])
+        yield root, read(root)
 
 
 def _atom_mask(position: int, n_atoms: int) -> int:
@@ -152,15 +216,15 @@ def _truth_table(
     n = len(names)
     full = (1 << (1 << n)) - 1
     atom_masks = {name: _atom_mask(i, n) for i, name in enumerate(names)}
-    masks = _masks([ax.index for ax in axioms], atom_masks.__getitem__, full, store)
     models = full
-    for ax in axioms:
-        models &= masks[ax.index]
+    for _, mask in _masks([ax.index for ax in axioms], atom_masks.__getitem__, full, store):
+        models &= mask
     return _Table(axioms, full, atom_masks, models)
 
 
 def _mask(f: FormulaId, table: _Table, store: FormulaStore) -> int:
-    return _masks((f.index,), table.atom_masks.__getitem__, table.full, store)[f.index]
+    ((_, mask),) = _masks((f.index,), table.atom_masks.__getitem__, table.full, store)
+    return mask
 
 
 def classify(f: FormulaId, store: FormulaStore) -> Verdict:

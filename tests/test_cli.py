@@ -366,6 +366,14 @@ def test_gap_precondition_violation(capsys, tmp_path):
     assert "case-split" in err
 
 
+def test_out_of_memory_exit_code(capsys, eq1_file, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gap_report", exhausted)
+    assert run(capsys, "gap", "--system", eq1_file) == (5, "", "error: out of memory\n")
+
+
 # --- demo -----------------------------------------------------------------------
 
 def test_demo_writes_loadable_file(capsys, tmp_path):

@@ -6,10 +6,13 @@ is nested far deeper than that limit.
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,36 @@ from lemgap.oracle import Verdict, classify, entails, evaluate
 NEGATIONS = "~" * 10_000 + "p"
 PARENTHESES = "(" * 10_000 + "p" + ")" * 10_000
 IMPLICATIONS = " -> ".join(["p"] * 2_000 + ["q"])  # 2,001 atoms, right-nested
+
+# Shapes that would need hundreds of MB if the oracle kept one 2**20-bit
+# mask per subformula. A left-nested `&` of 4,096 atom occurrences cycling
+# through 20 atoms, 16,381 bytes: every prefix is a distinct subformula.
+ATOMS_20 = "abcdefghijklmnopqrst"
+AND_CHAIN = " & ".join(ATOMS_20[i % 20] for i in range(4_096))
+# A right-nested `->` of 1,428 distinct two-literal conjuncts, `(a&b) ->
+# (a&~b) -> ...`: the parser interns every conjunct before any implication,
+# so ascending index order would hold all their masks at once. A Tautology,
+# because its first two conjuncts cannot both hold.
+CONJUNCTS = [
+    f"({p}{x}&{q}{y})"
+    for x, y in itertools.permutations(ATOMS_20, 2)
+    for p in ("", "~")
+    for q in ("", "~")
+][:1_428]
+IMPLICATION_CHAIN = " -> ".join(CONJUNCTS)
+# Its mirror image, left-nested, so the child of larger need is on the left:
+# evaluating right children first would hold every conjunct's mask. A
+# Tautology, because its first four conjuncts cover every value of a and b.
+DISJUNCTION_CHAIN = " | ".join(CONJUNCTS)
+# Masks kept beside those live in the walk: the 20 atom masks, and in the
+# conjunct chains also the 20 negated atoms, each read by many conjuncts and
+# so kept until its last one.
+MEMORY_CASES = [
+    (AND_CHAIN, "Contingent", 20),
+    (IMPLICATION_CHAIN, "Tautology", 40),
+    (DISJUNCTION_CHAIN, "Tautology", 40),
+]
+MEMORY_IDS = ["and-chain", "implication-chain", "disjunction-chain"]
 
 CASES = [
     # text, canonical text, atoms, verdict, (assignment, value), (axiom, entailment)
@@ -76,6 +109,17 @@ def _cli(*argv, preexec_fn=None):
     )
 
 
+def _address_space_cap(limit: int):
+    """A `preexec_fn` capping the child's address space at `limit` bytes;
+    the test process itself is not capped."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return cap
+
+
 def test_deep_negations_cli():
     proc = _cli("parse", NEGATIONS)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -99,19 +143,63 @@ def test_oversized_axiom_in_a_system_file_cli(tmp_path):
     # A 100 KB file, under the 1 MiB cap. Rendering this axiom would cache
     # the text of each of its 100,001 subformulas, about 5 * 10^9
     # characters, so the child runs with its address space capped at 1 GiB.
-    resource = pytest.importorskip("resource")
-    gib = 1 << 30
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
-
     path = tmp_path / "deep.json"
     doc = {"axioms": ["~" * 100_000 + "p"], "bounds": {"max_formula_size": 200_000}}
     path.write_text(json.dumps(doc))
-    proc = _cli("enumerate", "--system", str(path), preexec_fn=cap_memory)
+    proc = _cli("enumerate", "--system", str(path), preexec_fn=_address_space_cap(1 << 30))
     assert proc.returncode == 1
     assert proc.stderr == "error: axioms[0]: formula longer than 16384 bytes\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("text, verdict, kept", MEMORY_CASES, ids=MEMORY_IDS)
+def test_oracle_memory_bounded_cli(text, verdict, kept):
+    # Keeping every subformula's mask takes about 570 MB on the `&` chain
+    # and 400 MB on each conjunct chain; the child is capped at 256 MiB.
+    assert len(text.encode()) <= MAX_FORMULA_BYTES
+    proc = _cli("classify", text, preexec_fn=_address_space_cap(256 << 20))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{verdict}\n", "")
+
+
+@pytest.mark.parametrize("text, verdict, kept", MEMORY_CASES, ids=MEMORY_IDS)
+def test_oracle_memory_bounded_in_process(text, verdict, kept):
+    # The traced peak of `classify` stays within a few 2**20-bit masks of
+    # the masks every evaluation keeps (see MEMORY_CASES); the slack also
+    # covers the walk's per-subformula ints.
+    mask_bytes = (1 << 20) // 8
+    store = FormulaStore()
+    f = parse(text, store)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert classify(f, store).value == verdict
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= (kept + 16) * mask_bytes
+
+
+def test_oracle_out_of_memory_cli(tmp_path):
+    # What no evaluation order bounds: a shared subformula's mask lives until
+    # its last reader. Axioms 0 and 1 are disjunctions of 1,600 distinct
+    # three-literal conjuncts each, read again by axioms 2 and 3, so all
+    # 3,200 masks (about 400 MB) are live at once. Under a 256 MiB cap the
+    # child ends in exit 5 with one stderr line, not a traceback.
+    conjuncts = [
+        f"({p}{x}&{q}{y}&{r}{z})"
+        for x, y, z in itertools.permutations(ATOMS_20, 3)
+        for p in ("", "~")
+        for q in ("", "~")
+        for r in ("", "~")
+    ]
+    halves = conjuncts[:1_600], conjuncts[1_600:3_200]
+    axioms = ["|".join(h) for h in halves] + ["|".join(reversed(h)) for h in halves]
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps({"axioms": axioms, "bounds": {"max_formula_size": 100_000}}))
+    argv = ("classify", "--entails", "a", "--system", str(path))
+    proc = _cli(*argv, preexec_fn=_address_space_cap(256 << 20))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (5, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import tracemalloc
 import weakref
 
@@ -49,6 +50,45 @@ def test_evaluate_matches_reference_evaluator(shape):
     f = intern_shape(shape, store)
     for assignment in assignments_over(["p", "q", "r"]):
         assert evaluate(f, assignment, store) == truth_value(f, assignment, store)
+
+
+def _random_dag(rng: random.Random, store: FormulaStore):
+    """Atoms over at most 8 names, then nodes whose children are drawn from
+    everything built so far, so subformulas are shared."""
+    names = [f"a{i}" for i in range(rng.randint(1, 8))]
+    nodes = [store.atom(name) for name in names]
+    for _ in range(rng.randint(1, 40)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            nodes.append(store.neg(rng.choice(nodes)))
+        else:
+            build = (store.conj, store.disj, store.impl)[kind - 1]
+            nodes.append(build(rng.choice(nodes), rng.choice(nodes)))
+    return names, nodes
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_masks_yield_each_root_once_in_order(seed):
+    # Several roots: the last node built (a superformula of some earlier
+    # ones) in a random position among nodes sampled from the whole DAG,
+    # so some roots are subformulas of roots given before or after them.
+    # The first root is given twice and yielded once.
+    rng = random.Random(seed)
+    store = FormulaStore()
+    names, nodes = _random_dag(rng, store)
+    roots = rng.sample(nodes[:-1], rng.randint(0, min(6, len(nodes) - 1)))
+    roots.insert(rng.randint(0, len(roots)), nodes[-1])
+    roots = list(dict.fromkeys(roots))
+    n = len(names)
+    atom_masks = {name: oracle._atom_mask(i, n) for i, name in enumerate(names)}
+    full = (1 << (1 << n)) - 1
+    given = [f.index for f in roots] + [roots[0].index]
+    got = list(oracle._masks(given, atom_masks.__getitem__, full, store))
+    assert [i for i, _ in got] == [f.index for f in roots]
+    for f, (_, mask) in zip(roots, got):
+        for j in range(1 << n):
+            assignment = {name: bool(j >> i & 1) for i, name in enumerate(names)}
+            assert bool(mask >> j & 1) is evaluate(f, assignment, store)
 
 
 def test_classify_examples():
@@ -216,8 +256,9 @@ def test_too_many_atoms_counts_axioms_and_query():
 
 
 def test_family_report_builds_the_axiom_table_once(monkeypatch):
-    # 39 queries (the conclusion, then x and ~x for 19 pivots) over the
-    # same 20-atom axioms: one table, so one mask per atom in all.
+    # 20 queries (one `entails` of the conclusion, then one `independent`
+    # per pivot for 19 pivots) over the same 20-atom axioms: one table, so
+    # one mask per atom in all.
     calls = []
 
     def counting(position, n_atoms):
