@@ -400,33 +400,36 @@ def cmd_demo(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lemgap", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "machine"), default="text")
-    common.add_argument("--system", metavar="FILE")
-    common.add_argument("--max-size", type=int, metavar="N", dest="max_size")
-    common.add_argument("--max-generations", type=int, metavar="N", dest="max_generations")
+    # `parse` and `demo` take `--format` only; the commands that load a
+    # system take the system file and its bound overrides too.
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("text", "machine"), default="text")
+    systems = argparse.ArgumentParser(add_help=False, parents=[formats])
+    systems.add_argument("--system", metavar="FILE")
+    systems.add_argument("--max-size", type=int, metavar="N", dest="max_size")
+    systems.add_argument("--max-generations", type=int, metavar="N", dest="max_generations")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common], help="parse and canonically re-render")
+    p = sub.add_parser("parse", parents=[formats], help="parse and canonically re-render")
     p.add_argument("formula")
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("classify", parents=[common], help="truth-table verdicts")
+    p = sub.add_parser("classify", parents=[systems], help="truth-table verdicts")
     p.add_argument("formula", nargs="?")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--entails", metavar="FORMULA")
     mode.add_argument("--independent", metavar="FORMULA")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("enumerate", parents=[common], help="run bottom-up saturation")
+    p = sub.add_parser("enumerate", parents=[systems], help="run bottom-up saturation")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("prove", parents=[common], help="extract a checked proof")
+    p = sub.add_parser("prove", parents=[systems], help="extract a checked proof")
     p.add_argument("--goal", required=True, metavar="FORMULA")
     p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("gap", parents=[common], help="accepted-minus-enumerated report")
+    p = sub.add_parser("gap", parents=[systems], help="accepted-minus-enumerated report")
     p.add_argument(
         "--close-with",
         dest="close_with",
@@ -434,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_gap)
 
-    p = sub.add_parser("demo", parents=[common], help="write a demonstration system file")
+    p = sub.add_parser("demo", parents=[formats], help="write a demonstration system file")
     p.add_argument("--variant", choices=("EQ1", "TWO_BRANCH"), required=True)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_demo)
@@ -454,21 +457,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError, PreconditionViolated, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigError, PreconditionViolated) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TooManyAtoms as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_LIMIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MemoryError:
         # A last resort: the handler runs once the frames that held the
         # memory have unwound, so the line can still be printed.

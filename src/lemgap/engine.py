@@ -21,12 +21,10 @@ from .formula import (
     AND,
     ATOM_NAME,
     IMPLIES,
+    NOT,
     OR,
-    And,
     FormulaId,
     FormulaStore,
-    Implies,
-    Not,
     ParseError,
     _atom_names,
     _case_splits,
@@ -37,7 +35,6 @@ from .formula import (
     _positions,
     _sort_canonical,
     atoms_of,
-    match_lbi_shape,
     parse,
     render,
     size,
@@ -272,7 +269,7 @@ class EnumerationResult:
     stats: Stats
     stop_reason: str
     _store: FormulaStore = field(repr=False)
-    _indices: tuple[int, ...] = field(repr=False)
+    _indices: Sequence[int] = field(repr=False)
     _packed: Sequence[int] = field(repr=False)
 
     @cached_property
@@ -418,6 +415,53 @@ def system_document(system: AxiomaticSystem) -> dict:
 # Rule application
 # ---------------------------------------------------------------------------
 
+def _conclusions(
+    rule: RuleKind, premises: Sequence[int], store: FormulaStore, universe: Sequence[int]
+) -> list[int]:
+    """Store indices of the conclusions of `rule` on the indexed premises,
+    as many as the rule takes; OR_INTRO and LEM_AXIOM range over the
+    indexed `universe`. The indices are not checked.
+
+    Each rule's one reference definition, read off the store's columns.
+    It shares no matcher with saturation or `gap.lbi_accepted`
+    (`formula._lbi_shapes`, `formula._case_splits`), so `check_proof`
+    replays a derivation with other code than the code that found it,
+    and tests compare those matchers against it."""
+    kinds, lefts, rights = store._kinds, store._lefts, store._rights
+    intern = store._intern_binary
+    if rule is RuleKind.MP:
+        phi, imp = premises
+        return [rights[imp]] if kinds[imp] == IMPLIES and lefts[imp] == phi else []
+    if rule is RuleKind.AND_INTRO:
+        return [intern(AND, *premises)]
+    if rule is RuleKind.AND_ELIM_L:
+        return [lefts[premises[0]]] if kinds[premises[0]] == AND else []
+    if rule is RuleKind.AND_ELIM_R:
+        return [rights[premises[0]]] if kinds[premises[0]] == AND else []
+    if rule is RuleKind.OR_INTRO:
+        (phi,) = premises
+        return [f for sigma in universe for f in (intern(OR, phi, sigma), intern(OR, sigma, phi))]
+    if rule is RuleKind.LEM_AXIOM:
+        return [intern(OR, x, store._neg(x)) for x in universe]
+    if rule is RuleKind.LBI_RULE:
+        # (x | ~x) -> y or (~x | x) -> y: one disjunct negates the other.
+        (f,) = premises
+        if kinds[f] != IMPLIES or kinds[lefts[f]] != OR:
+            return []
+        a, b = lefts[lefts[f]], rights[lefts[f]]
+        if (kinds[b] == NOT and lefts[b] == a) or (kinds[a] == NOT and lefts[a] == b):
+            return [rights[f]]
+        return []
+    if rule is RuleKind.CASE_SPLIT:
+        # x -> y, ~x -> y, in that order.
+        pos, neg = premises
+        if kinds[pos] != IMPLIES or kinds[neg] != IMPLIES or rights[pos] != rights[neg]:
+            return []
+        negated = lefts[neg]
+        return [rights[pos]] if kinds[negated] == NOT and lefts[negated] == lefts[pos] else []
+    raise AssertionError(f"unhandled rule {rule!r}")
+
+
 def apply_rule(
     rule: RuleKind,
     premises: Sequence[FormulaId],
@@ -427,58 +471,13 @@ def apply_rule(
     """All conclusions of one rule application; empty when shapes mismatch.
 
     No size filtering happens here; bounding is the enumerator's job.
-    OR_INTRO and LEM_AXIOM range over `universe`.
+    OR_INTRO and LEM_AXIOM range over `universe`. The rules are defined
+    by `_conclusions`, over the store's columns.
     """
     if len(premises) != RULE_ARITY[rule]:
         raise ArityMismatch(rule, len(premises))
-
-    if rule is RuleKind.MP:
-        phi, imp = premises
-        node = store.node(imp)
-        if isinstance(node, Implies) and node.antecedent == phi:
-            return frozenset((node.consequent,))
-        return frozenset()
-
-    if rule is RuleKind.AND_INTRO:
-        return frozenset((store.conj(premises[0], premises[1]),))
-
-    if rule is RuleKind.AND_ELIM_L:
-        node = store.node(premises[0])
-        return frozenset((node.left,)) if isinstance(node, And) else frozenset()
-
-    if rule is RuleKind.AND_ELIM_R:
-        node = store.node(premises[0])
-        return frozenset((node.right,)) if isinstance(node, And) else frozenset()
-
-    if rule is RuleKind.OR_INTRO:
-        phi = premises[0]
-        out = set()
-        for sigma in universe:
-            out.add(store.disj(phi, sigma))
-            out.add(store.disj(sigma, phi))
-        return frozenset(out)
-
-    if rule is RuleKind.LEM_AXIOM:
-        return frozenset(store.disj(x, store.neg(x)) for x in universe)
-
-    if rule is RuleKind.LBI_RULE:
-        matched = match_lbi_shape(premises[0], store)
-        return frozenset((matched[1],)) if matched else frozenset()
-
-    if rule is RuleKind.CASE_SPLIT:
-        first, second = premises
-        n1 = store.node(first)
-        n2 = store.node(second)
-        if not (isinstance(n1, Implies) and isinstance(n2, Implies)):
-            return frozenset()
-        if n1.consequent != n2.consequent:
-            return frozenset()
-        ant2 = store.node(n2.antecedent)
-        if isinstance(ant2, Not) and ant2.child == n1.antecedent:
-            return frozenset((n1.consequent,))
-        return frozenset()
-
-    raise AssertionError(f"unhandled rule {rule!r}")
+    found = _conclusions(rule, _indices(premises, store), store, _indices(universe, store))
+    return frozenset(store._ids(found))
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +501,11 @@ class _Saturation:
     conjunctions AND_INTRO did not derive are the ones that came through
     `offer` (every rule but AND_INTRO and OR_INTRO offers its conclusions
     there, and OR_INTRO's are disjunctions); AND_ELIM opens only those and
-    counts the rest in bulk (see `Stats`). CASE_SPLIT finds its partner
-    premise with `_case_splits`, the matcher `gap.lbi_accepted` uses too,
-    by a lookup in the store's tables; `apply_rule` stays the independent
-    definition that `check_proof` replays."""
+    counts the rest in bulk (see `Stats`). LBI_RULE and CASE_SPLIT match
+    with `_lbi_shapes` and `_case_splits`, which `gap.lbi_accepted` uses
+    too; CASE_SPLIT finds its partner premise by a lookup in the store's
+    tables. `_conclusions` stays the independent definition that
+    `check_proof` replays."""
 
     def __init__(self, system: AxiomaticSystem):
         self.system = system
@@ -754,7 +754,7 @@ class _Saturation:
             ),
             stop_reason=stop_reason,
             _store=self.store,
-            _indices=tuple(self.theorems),
+            _indices=self.theorems,
             _packed=self.steps,
         )
 
@@ -836,37 +836,42 @@ def check_proof(
 
     Axiom steps must conclude an axiom; LEM_AXIOM steps must be enabled
     and conclude a schema instance over the universe; every other step's
-    conclusion must be reproduced by apply_rule on its premises.
+    conclusion must be one `_conclusions` gives on its premises, the
+    definition `apply_rule` reads too. The conclusions are checked to be
+    the system store's once, up front; then each step is replayed on
+    store indices, so no id, node or set is built per step.
     """
-    axioms = set(system.axioms)
+    store = system.store
+    conclusions = _indices([step.conclusion for step in steps], store)
+    axioms = set(_indices(system.axioms, store))
     # Only OR_INTRO and LEM_AXIOM steps range over the universe.
     ranging = any(step.rule in (RuleKind.OR_INTRO, RuleKind.LEM_AXIOM) for step in steps)
-    universe = system.universe() if ranging else ()
-    lem_instances: Optional[frozenset[FormulaId]] = None
-    for i, step in enumerate(steps):
-        for p in step.premises:
+    universe = _indices(system.universe(), store) if ranging else []
+    lem_instances: Optional[set[int]] = None
+    for i, (step, conclusion) in enumerate(zip(steps, conclusions)):
+        rule, premises = step.rule, step.premises
+        for p in premises:
             if not 0 <= p < i:
                 return InvalidStep(i, f"premise {p} does not precede the step")
-        if step.rule is None:
-            if step.premises:
+        if rule is None:
+            if premises:
                 return InvalidStep(i, "axiom step with premises")
-            if step.conclusion not in axioms:
+            if conclusion not in axioms:
                 return InvalidStep(i, "conclusion is not an axiom")
             continue
-        if step.rule not in system.rules:
-            return InvalidStep(i, f"rule {step.rule.value} is not enabled")
-        if step.rule is RuleKind.LEM_AXIOM:
-            if step.premises:
+        if rule not in system.rules:
+            return InvalidStep(i, f"rule {rule.value} is not enabled")
+        if rule is RuleKind.LEM_AXIOM:
+            if premises:
                 return InvalidStep(i, "LEM_AXIOM step with premises")
             if lem_instances is None:
-                lem_instances = apply_rule(RuleKind.LEM_AXIOM, (), system.store, universe)
-            if step.conclusion not in lem_instances:
+                lem_instances = set(_conclusions(rule, (), store, universe))
+            if conclusion not in lem_instances:
                 return InvalidStep(i, "conclusion is not a LEM instance over the universe")
             continue
-        if len(step.premises) != RULE_ARITY[step.rule]:
-            return InvalidStep(i, f"wrong premise count for {step.rule.value}")
-        premise_formulas = tuple(steps[p].conclusion for p in step.premises)
-        conclusions = apply_rule(step.rule, premise_formulas, system.store, universe)
-        if step.conclusion not in conclusions:
+        if len(premises) != RULE_ARITY[rule]:
+            return InvalidStep(i, f"wrong premise count for {rule.value}")
+        found = _conclusions(rule, [conclusions[p] for p in premises], store, universe)
+        if conclusion not in found:
             return InvalidStep(i, "conclusion not reproduced by the rule")
     return None

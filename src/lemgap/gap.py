@@ -163,8 +163,8 @@ def gap_report(
         by_conclusion.setdefault(w.conclusion, []).append(w)
 
     members = []
-    for conclusion in sorted(by_conclusion, key=lambda f: render(f, store)):
-        group = tuple(by_conclusion[conclusion])
+    # Sorted already: witnesses come sorted by conclusion text, distinct per formula.
+    for conclusion, group in by_conclusion.items():
         pivots = {w.pivot for w in group}
         verification = GapVerification(
             oracle_entailed=entails(system.axioms, conclusion, store).holds,
@@ -176,7 +176,7 @@ def gap_report(
                 for x in pivots
             ),
         )
-        members.append(GapMember(conclusion, group, verification))
+        members.append(GapMember(conclusion, tuple(group), verification))
 
     closure = None
     gap_closed = None

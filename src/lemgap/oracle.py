@@ -28,7 +28,7 @@ import enum
 import weakref
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .formula import AND, ATOM, NOT, OR, FormulaId, FormulaStore, _closure, atoms_of
+from .formula import AND, ATOM, NOT, OR, FormulaId, FormulaStore, _atom_names, _closure, _indices
 
 __all__ = [
     "ATOM_LIMIT",
@@ -210,14 +210,15 @@ def _truth_table(
     axioms: tuple[FormulaId, ...], extra: tuple[FormulaId, ...], store: FormulaStore
 ) -> _Table:
     """The axioms' table over their atoms and those of `extra`."""
-    names = sorted({name for f in (*axioms, *extra) for name in atoms_of(f, store)})
+    indices = _indices((*axioms, *extra), store)
+    names = sorted(_atom_names(indices, store))
     if len(names) > ATOM_LIMIT:
         raise TooManyAtoms(len(names))
     n = len(names)
     full = (1 << (1 << n)) - 1
     atom_masks = {name: _atom_mask(i, n) for i, name in enumerate(names)}
     models = full
-    for _, mask in _masks([ax.index for ax in axioms], atom_masks.__getitem__, full, store):
+    for _, mask in _masks(indices[:len(axioms)], atom_masks.__getitem__, full, store):
         models &= mask
     return _Table(axioms, full, atom_masks, models)
 
@@ -251,7 +252,7 @@ def _query(axioms: tuple[FormulaId, ...], f: FormulaId, store: FormulaStore) -> 
             table = _tables[store] = _truth_table(axioms, (), store)
         except TooManyAtoms:
             table = None  # the combined table below raises with the full count
-    if table is None or not table.atom_masks.keys() >= set(atoms_of(f, store)):
+    if table is None or not table.atom_masks.keys() >= _atom_names(_indices((f,), store), store):
         table = _truth_table(axioms, (f,), store)
     return table, _mask(f, table, store)
 

@@ -408,6 +408,18 @@ def test_demo_machine_prints_document(capsys, tmp_path):
     assert json.loads(out)["axioms"] == ["(p | ~p) -> q"]
 
 
+@pytest.mark.parametrize("option", [
+    ["--system", "nope.json"], ["--max-size", "3"], ["--max-generations", "2"],
+], ids=lambda option: option[0])
+@pytest.mark.parametrize("command", ["parse", "demo"])
+def test_parse_and_demo_take_no_system_options(capsys, tmp_path, command, option):
+    # Neither command loads a system, so neither takes a system file or a bound.
+    args = ["p"] if command == "parse" else ["--variant", "EQ1", "--out", str(tmp_path / "d.json")]
+    code, out, err = run(capsys, command, *args, *option)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: unrecognized arguments: {option[0]}") and err.count("\n") == 1
+
+
 def test_max_generations_override(capsys, tmp_path):
     path = tmp_path / "chain3.json"
     path.write_text(json.dumps({"axioms": ["a", "a -> b", "b -> c"], "rules": ["MP"]}))

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from lemgap import engine
+from lemgap import engine, formula
 from lemgap.engine import (
     ArityMismatch,
     AxiomTooLarge,
@@ -594,6 +594,96 @@ def test_check_proof_accepts_lem_step_when_enabled():
     assert check_proof(proof, system) is None
     rules = {step.rule_name for step in proof}
     assert "LEM_AXIOM" in rules and "MP" in rules
+
+
+# (rule, premises, universe, conclusions), as formula texts.
+_NO_MATCHER_CASES = [
+    (RuleKind.MP, ["p", "p -> q"], [], ["q"]),
+    (RuleKind.MP, ["q", "p -> q"], [], []),
+    (RuleKind.AND_INTRO, ["p", "q"], [], ["p & q"]),
+    (RuleKind.AND_ELIM_L, ["p & q"], [], ["p"]),
+    (RuleKind.AND_ELIM_R, ["p & q"], [], ["q"]),
+    (RuleKind.AND_ELIM_R, ["p | q"], [], []),
+    (RuleKind.OR_INTRO, ["p"], ["p", "q"], ["p | p", "p | q", "q | p"]),
+    (RuleKind.LEM_AXIOM, [], ["p", "q"], ["p | ~p", "q | ~q"]),
+    (RuleKind.LBI_RULE, ["(p | ~p) -> q"], [], ["q"]),
+    (RuleKind.LBI_RULE, ["(~p | p) -> q"], [], ["q"]),
+    (RuleKind.LBI_RULE, ["(~p | ~~p) -> q"], [], ["q"]),
+    (RuleKind.LBI_RULE, ["(p | ~q) -> q"], [], []),
+    (RuleKind.LBI_RULE, ["p -> q"], [], []),
+    (RuleKind.LBI_RULE, ["p | ~p"], [], []),
+    (RuleKind.CASE_SPLIT, ["p -> y", "~p -> y"], [], ["y"]),
+    (RuleKind.CASE_SPLIT, ["~p -> y", "p -> y"], [], []),
+    (RuleKind.CASE_SPLIT, ["p -> z", "~p -> y"], [], []),
+    (RuleKind.CASE_SPLIT, ["q -> y", "~p -> y"], [], []),
+]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("saturation's matchers and node objects are not for replay")
+
+
+def test_apply_rule_and_check_proof_share_no_matcher_with_saturation(monkeypatch):
+    # apply_rule and check_proof define every rule on the store's columns:
+    # with node objects and the matchers saturation and lbi_accepted use
+    # patched to raise, both still answer.
+    store = FormulaStore()
+    cases = [
+        (rule, [parse(t, store) for t in premises], [parse(t, store) for t in universe],
+         {parse(t, store) for t in expected})
+        for rule, premises, universe, expected in _NO_MATCHER_CASES
+    ]
+    lbi = mk_system(
+        ["(p | ~p) -> q", "(~q | q) -> r", "q -> r -> s", "(p | ~r) -> r"],
+        [RuleKind.MP, RuleKind.LBI_RULE], atoms=("p", "q", "r", "s"),
+    )
+    split = mk_system(
+        ["a -> y", "~a -> y", "y -> z"], [RuleKind.MP, RuleKind.CASE_SPLIT], atoms=("a", "y", "z")
+    )
+    lbi_proof = extract_proof(saturate(lbi), parse("s", lbi.store))
+    split_proof = extract_proof(saturate(split), parse("z", split.store))
+    assert [s.rule_name for s in lbi_proof].count("LBI_RULE") == 2
+    assert "CASE_SPLIT" in [s.rule_name for s in split_proof]
+    # A premise of the wrong shape, then the right premise and a wrong conclusion.
+    forged = [
+        [ProofStep(parse(premise, lbi.store), None, ()),
+         ProofStep(parse(conclusion, lbi.store), RuleKind.LBI_RULE, (0,))]
+        for premise, conclusion in (("(p | ~r) -> r", "r"), ("(p | ~p) -> q", "p"))
+    ]
+
+    monkeypatch.setattr(FormulaStore, "node", _refuse)
+    for module in (formula, engine):
+        for name in ("match_lbi_shape", "_lbi_shapes", "_case_splits"):
+            monkeypatch.setattr(module, name, _refuse, raising=False)
+    for rule, premises, universe, expected in cases:
+        assert apply_rule(rule, premises, store, universe) == expected, (rule, premises)
+    assert check_proof(lbi_proof, lbi) is None
+    assert check_proof(split_proof, split) is None
+    for proof in forged:
+        assert check_proof(proof, lbi) == InvalidStep(1, "conclusion not reproduced by the rule")
+
+
+def test_check_proof_builds_no_id_on_an_mp_chain(monkeypatch):
+    # The replay reads store indices, so it builds no id, not even per step.
+    axioms = ["a0"] + [f"a{i} -> a{i + 1}" for i in range(200)]
+    system = mk_system(axioms, [RuleKind.MP], max_generations=201)
+    proof = extract_proof(saturate(system), parse("a200", system.store))
+    assert [s.rule_name for s in proof].count("MP") == 200
+    calls = []
+    ids, one = FormulaStore._ids, FormulaStore._id
+
+    def counted_ids(self, indices):
+        calls.append("_ids")
+        return ids(self, indices)
+
+    def counted_id(self, i):
+        calls.append("_id")
+        return one(self, i)
+
+    monkeypatch.setattr(FormulaStore, "_ids", counted_ids)
+    monkeypatch.setattr(FormulaStore, "_id", counted_id)
+    assert check_proof(proof, system) is None
+    assert calls == []
 
 
 def test_extracted_proofs_replay_on_random_systems():
