@@ -9,13 +9,12 @@ fully deterministic discovery order.
 from __future__ import annotations
 
 import enum
-import gc
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .formula import (
     AND,
@@ -416,11 +415,19 @@ def system_document(system: AxiomaticSystem) -> dict:
 # ---------------------------------------------------------------------------
 
 def _conclusions(
-    rule: RuleKind, premises: Sequence[int], store: FormulaStore, universe: Sequence[int]
-) -> list[int]:
+    rule: RuleKind, premises: Sequence[int], store: FormulaStore, universe: Sequence[int],
+    build: Callable[..., Optional[int]],
+) -> list[Optional[int]]:
     """Store indices of the conclusions of `rule` on the indexed premises,
     as many as the rule takes; OR_INTRO and LEM_AXIOM range over the
     indexed `universe`. The indices are not checked.
+
+    `build(kind, left, right=-1)` gives the index of the node AND_INTRO,
+    OR_INTRO and LEM_AXIOM conclude, and of the negation inside LEM:
+    `store._intern`, or `store._lookup`, which interns nothing and gives
+    None for a node never interned. With a lookup, LEM skips each `x`
+    whose negation was never interned, and a None conclusion matches no
+    step's.
 
     Each rule's one reference definition, read off the store's columns.
     It shares no matcher with saturation or `gap.lbi_accepted`
@@ -428,21 +435,20 @@ def _conclusions(
     replays a derivation with other code than the code that found it,
     and tests compare those matchers against it."""
     kinds, lefts, rights = store._kinds, store._lefts, store._rights
-    intern = store._intern_binary
     if rule is RuleKind.MP:
         phi, imp = premises
         return [rights[imp]] if kinds[imp] == IMPLIES and lefts[imp] == phi else []
     if rule is RuleKind.AND_INTRO:
-        return [intern(AND, *premises)]
+        return [build(AND, *premises)]
     if rule is RuleKind.AND_ELIM_L:
         return [lefts[premises[0]]] if kinds[premises[0]] == AND else []
     if rule is RuleKind.AND_ELIM_R:
         return [rights[premises[0]]] if kinds[premises[0]] == AND else []
     if rule is RuleKind.OR_INTRO:
         (phi,) = premises
-        return [f for sigma in universe for f in (intern(OR, phi, sigma), intern(OR, sigma, phi))]
+        return [f for sigma in universe for f in (build(OR, phi, sigma), build(OR, sigma, phi))]
     if rule is RuleKind.LEM_AXIOM:
-        return [intern(OR, x, store._neg(x)) for x in universe]
+        return [build(OR, x, n) for x in universe if (n := build(NOT, x)) is not None]
     if rule is RuleKind.LBI_RULE:
         # (x | ~x) -> y or (~x | x) -> y: one disjunct negates the other.
         (f,) = premises
@@ -472,12 +478,13 @@ def apply_rule(
 
     No size filtering happens here; bounding is the enumerator's job.
     OR_INTRO and LEM_AXIOM range over `universe`. The rules are defined
-    by `_conclusions`, over the store's columns.
+    by `_conclusions`, over the store's columns; the conclusions are
+    interned, as they are returned as ids.
     """
     if len(premises) != RULE_ARITY[rule]:
         raise ArityMismatch(rule, len(premises))
-    found = _conclusions(rule, _indices(premises, store), store, _indices(universe, store))
-    return frozenset(store._ids(found))
+    premises, universe = _indices(premises, store), _indices(universe, store)
+    return frozenset(store._ids(_conclusions(rule, premises, store, universe, store._intern)))
 
 
 # ---------------------------------------------------------------------------
@@ -775,20 +782,11 @@ def saturate(system: AxiomaticSystem) -> EnumerationResult:
     proof steps are built only when its `theorems` or `steps` are read,
     which neither `gap_report` nor the `enumerate` command does.
 
-    The cyclic garbage collector is paused during the run: a run makes
-    no reference cycles, so a collection would only walk its growing
-    heap. What the run keeps per theorem, ints and texts, is not tracked
-    by the collector, so the collections that follow the run do not walk
-    it either. The collector's previous state is restored on return, and
-    on an exception too; a collector the caller disabled stays disabled.
+    A run leaves the cyclic garbage collector as the caller set it: it
+    makes no reference cycles, and what its result keeps per theorem,
+    ints and texts, is not tracked by the collector.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _Saturation(system).run()
-    finally:
-        if enabled:
-            gc.enable()
+    return _Saturation(system).run()
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +837,9 @@ def check_proof(
     conclusion must be one `_conclusions` gives on its premises, the
     definition `apply_rule` reads too. The conclusions are checked to be
     the system store's once, up front; then each step is replayed on
-    store indices, so no id, node or set is built per step.
+    store indices, so no id, node or set is built per step. A rule's
+    candidate conclusions are looked up, not interned: a step's
+    conclusion is already in the store, so the replay adds nothing to it.
     """
     store = system.store
     conclusions = _indices([step.conclusion for step in steps], store)
@@ -865,13 +865,14 @@ def check_proof(
             if premises:
                 return InvalidStep(i, "LEM_AXIOM step with premises")
             if lem_instances is None:
-                lem_instances = set(_conclusions(rule, (), store, universe))
+                lem_instances = set(_conclusions(rule, (), store, universe, store._lookup))
             if conclusion not in lem_instances:
                 return InvalidStep(i, "conclusion is not a LEM instance over the universe")
             continue
         if len(premises) != RULE_ARITY[rule]:
             return InvalidStep(i, f"wrong premise count for {rule.value}")
-        found = _conclusions(rule, [conclusions[p] for p in premises], store, universe)
+        premise_indices = [conclusions[p] for p in premises]
+        found = _conclusions(rule, premise_indices, store, universe, store._lookup)
         if conclusion not in found:
             return InvalidStep(i, "conclusion not reproduced by the rule")
     return None

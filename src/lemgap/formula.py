@@ -106,14 +106,15 @@ class FormulaStore:
     of recursing, so no formula is too deep for them.
 
     The store is mutated only by interning (the constructors, `parse`,
-    saturation) and by `render`, which fills an index-aligned text cache;
-    the oracle also keeps a table per store (see `lemgap.oracle`). Queries
-    such as `lbi_accepted` and `independent` look nodes up without
-    interning. It is not thread-safe. `node`, `size`, `render` and the
-    constructors assert that an id is this store's. Inside the package,
-    saturation, the oracle and gap reports read the columns and intern
-    over plain indices; an id from outside is checked once, where it
-    enters, and a `FormulaId` is built only for what is handed back.
+    saturation, `apply_rule`) and by `render`, which fills an index-aligned
+    text cache; the oracle also keeps a table per store (see
+    `lemgap.oracle`). Queries such as `lbi_accepted`, `independent` and
+    `check_proof` look nodes up without interning. It is not thread-safe.
+    `node`, `size`, `render` and the constructors assert that an id is
+    this store's. Inside the package, saturation, the oracle and gap
+    reports read the columns and intern over plain indices; an id from
+    outside is checked once, where it enters, and a `FormulaId` is built
+    only for what is handed back.
     """
 
     def __init__(self) -> None:
@@ -189,6 +190,11 @@ class FormulaStore:
         """Index of the negation of `left`, or of `kind(left, right)` for a
         binary kind; None when it was never interned. Interns nothing."""
         return self._tables[kind].get(left if kind == NOT else left << 32 | right)
+
+    def _intern(self, kind: int, left: int, right: int = -1) -> int:
+        """`_lookup` that interns: the index of the negation of `left`, or
+        of `kind(left, right)` for a binary kind, interned if new."""
+        return self._neg(left) if kind == NOT else self._intern_binary(kind, left, right)
 
     def _index(self, f: FormulaId) -> int:
         assert f in self, "FormulaId belongs to a different store"

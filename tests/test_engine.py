@@ -140,6 +140,21 @@ def test_load_system_names_the_first_formula_with_an_undeclared_atom():
     assert (err.value.field, err.value.reason) == ("axioms[1]", "uses undeclared atom 'r'")
 
 
+@pytest.mark.parametrize(
+    "atoms, field_name, reason",
+    [
+        ('"p"', "atoms", "must be a list of atom names"),
+        ('["p", 1]', "atoms", "must be a list of atom names"),
+        ('["p", "1x"]', "atoms[1]", "invalid atom name '1x'"),
+        ('["p", "q", "p"]', "atoms", "duplicate atom names"),
+    ],
+)
+def test_load_system_rejects_bad_atom_lists(atoms, field_name, reason):
+    with pytest.raises(ConfigError) as err:
+        load_system(f'{{"atoms": {atoms}, "axioms": ["p"]}}')
+    assert (err.value.field, err.value.reason) == (field_name, reason)
+
+
 def test_load_system_invalid_json():
     with pytest.raises(ConfigError):
         load_system("{not json")
@@ -596,6 +611,22 @@ def test_check_proof_accepts_lem_step_when_enabled():
     assert "LEM_AXIOM" in rules and "MP" in rules
 
 
+def test_check_proof_rejects_misshapen_steps():
+    system = mk_system(["p", "p -> q"], [RuleKind.MP, RuleKind.LEM_AXIOM], atoms=("p", "q"))
+    store = system.store
+    p, q, lem = (parse(t, store) for t in ("p", "q", "p | ~p"))
+    axiom = ProofStep(p, None, ())
+    cases = [
+        (ProofStep(p, None, (0,)), "axiom step with premises"),
+        (ProofStep(lem, RuleKind.LEM_AXIOM, (0,)), "LEM_AXIOM step with premises"),
+        (ProofStep(q, RuleKind.LEM_AXIOM, ()),
+         "conclusion is not a LEM instance over the universe"),
+        (ProofStep(q, RuleKind.MP, (0,)), "wrong premise count for MP"),
+    ]
+    for step, reason in cases:
+        assert check_proof([axiom, step], system) == InvalidStep(1, reason)
+
+
 # (rule, premises, universe, conclusions), as formula texts.
 _NO_MATCHER_CASES = [
     (RuleKind.MP, ["p", "p -> q"], [], ["q"]),
@@ -684,6 +715,50 @@ def test_check_proof_builds_no_id_on_an_mp_chain(monkeypatch):
     monkeypatch.setattr(FormulaStore, "_id", counted_id)
     assert check_proof(proof, system) is None
     assert calls == []
+
+
+def test_check_proof_interns_nothing():
+    # A step's conclusion is already in the store, so the replay looks the
+    # OR_INTRO candidates and the LEM instances up instead of interning them.
+    system = mk_system(
+        ["p", "q -> r"],
+        [RuleKind.MP, RuleKind.AND_INTRO, RuleKind.OR_INTRO, RuleKind.LEM_AXIOM],
+        max_formula_size=7,
+    )
+    store = system.store
+    result = saturate(system)
+    proofs = [extract_proof(result, goal) for goal in result.theorems]
+    ranged = {"AND_INTRO", "OR_INTRO", "LEM_AXIOM"}
+    replayed = {s.rule_name for proof in proofs for s in proof} & ranged
+    assert replayed == ranged
+    nodes = len(store)
+    for proof in proofs:
+        assert check_proof(proof, system) is None
+    assert len(store) == nodes
+
+
+def test_check_proof_rejects_forged_ranging_steps_without_interning():
+    # On a system never saturated, the universe's disjunctions and most of
+    # its negations were never interned: a replay must not add them.
+    system = mk_system(
+        ["p", "q -> r"], [RuleKind.OR_INTRO, RuleKind.LEM_AXIOM], atoms=("p", "q", "r")
+    )
+    system = replace(system, side_formulas=(parse("r | ~r", system.store),))
+    store = system.store
+    p, axiom, lem = (parse(t, store) for t in ("p", "q -> r", "r | ~r"))
+    disjunction = store.disj(p, axiom)
+    nodes = len(store)
+    assert check_proof(
+        [ProofStep(p, None, ()), ProofStep(axiom, RuleKind.OR_INTRO, (0,))], system
+    ) == InvalidStep(1, "conclusion not reproduced by the rule")
+    assert check_proof([ProofStep(axiom, RuleKind.LEM_AXIOM, ())], system) == InvalidStep(
+        0, "conclusion is not a LEM instance over the universe"
+    )
+    assert check_proof(
+        [ProofStep(p, None, ()), ProofStep(disjunction, RuleKind.OR_INTRO, (0,))], system
+    ) is None
+    assert check_proof([ProofStep(lem, RuleKind.LEM_AXIOM, ())], system) is None
+    assert len(store) == nodes
 
 
 def test_extracted_proofs_replay_on_random_systems():
@@ -958,6 +1033,7 @@ def collector_state():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_saturate_restores_the_collector_state(collector_state, monkeypatch, enabled):
+    # A run leaves the collector as the caller set it, during the run too.
     seen = []
     run_mp = engine._Saturation.run_mp
 
@@ -968,21 +1044,7 @@ def test_saturate_restores_the_collector_state(collector_state, monkeypatch, ena
     monkeypatch.setattr(engine._Saturation, "run_mp", spy)
     gc.enable() if enabled else gc.disable()
     saturate(mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q")))
-    assert seen and not any(seen)  # paused while saturating
-    assert gc.isenabled() is enabled
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_saturate_restores_the_collector_state_when_a_run_raises(
-    collector_state, monkeypatch, enabled
-):
-    def fail(self, delta):
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(engine._Saturation, "run_mp", fail)
-    gc.enable() if enabled else gc.disable()
-    with pytest.raises(RuntimeError, match="boom"):
-        saturate(mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q")))
+    assert seen and all(state is enabled for state in seen)
     assert gc.isenabled() is enabled
 
 
