@@ -13,6 +13,7 @@ one stderr line, `error: out of memory`, instead of a traceback).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import sys
@@ -20,6 +21,7 @@ from dataclasses import asdict, replace
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from .engine import (
+    _BOUNDS_KEYS,
     MAX_FORMULA_BYTES,
     AxiomaticSystem,
     ConfigError,
@@ -210,13 +212,10 @@ def _load(args) -> AxiomaticSystem:
     except UnicodeDecodeError as exc:
         raise ConfigError("document", f"system file is not valid UTF-8: {exc}") from None
     system = load_system(text)
-    bounds = system.bounds
-    if args.max_size is not None:
-        bounds = replace(bounds, max_formula_size=args.max_size)
-    if args.max_generations is not None:
-        bounds = replace(bounds, max_generations=args.max_generations)
-    if bounds is not system.bounds:
-        system = replace(system, bounds=bounds)
+    # The bound overrides given, under their `Bounds` field names.
+    overrides = {name: value for name, value in vars(args).items() if name in _BOUNDS_KEYS}
+    if overrides:
+        system = replace(system, bounds=replace(system.bounds, **overrides))
     return system
 
 
@@ -266,7 +265,9 @@ def cmd_parse(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.entails is not None or args.independent is not None:
+    if [args.formula, args.entails, args.independent].count(None) != 2:
+        raise UsageError("classify takes exactly one of a formula, --entails or --independent")
+    if args.formula is None:
         system = _load(args)
         store = system.store
         if args.entails is not None:
@@ -293,8 +294,8 @@ def cmd_classify(args) -> int:
             else:
                 print(f"independent: {str(answer).lower()}")
         return EXIT_OK
-    if args.formula is None:
-        raise UsageError("a formula argument is required unless --entails/--independent is used")
+    if args.system is not None:
+        raise UsageError("--system is read only with --entails or --independent")
     store = FormulaStore()
     verdict = classify(_parse_arg(args.formula, store), store)
     if args.format == "machine":
@@ -335,7 +336,7 @@ def cmd_prove(args) -> int:
         print(f"internal error: extracted proof failed replay: {failure}", file=sys.stderr)
         return EXIT_USAGE
     store = system.store
-    texts = [render(step.conclusion, store) for step in proof]
+    texts = _texts_of([step.conclusion.index for step in proof], store)
     rows = _rows(texts, ((step.rule, step.premises) for step in proof))
     if args.format == "machine":
         _emit({"goal": render(goal, store), "steps": rows})
@@ -400,14 +401,19 @@ def cmd_demo(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lemgap", description=__doc__)
-    # `parse` and `demo` take `--format` only; the commands that load a
-    # system take the system file and its bound overrides too.
+    # Each command takes only the options it reads: `parse` and `demo`
+    # take `--format` only; `classify` takes `--system` too, read with
+    # `--entails` or `--independent`; the commands that run saturation
+    # (`enumerate`, `prove`, `gap`) take the bound overrides as well. An
+    # override is stored under its `Bounds` field name and only when
+    # given, so `_load` applies exactly the ones present.
     formats = argparse.ArgumentParser(add_help=False)
     formats.add_argument("--format", choices=("text", "machine"), default="text")
     systems = argparse.ArgumentParser(add_help=False, parents=[formats])
     systems.add_argument("--system", metavar="FILE")
-    systems.add_argument("--max-size", type=int, metavar="N", dest="max_size")
-    systems.add_argument("--max-generations", type=int, metavar="N", dest="max_generations")
+    runs = argparse.ArgumentParser(add_help=False, parents=[systems])
+    for flag, name in ("--max-size", "max_formula_size"), ("--max-generations", "max_generations"):
+        runs.add_argument(flag, type=int, metavar="N", dest=name, default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -422,14 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--independent", metavar="FORMULA")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("enumerate", parents=[systems], help="run bottom-up saturation")
+    p = sub.add_parser("enumerate", parents=[runs], help="run bottom-up saturation")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("prove", parents=[systems], help="extract a checked proof")
+    p = sub.add_parser("prove", parents=[runs], help="extract a checked proof")
     p.add_argument("--goal", required=True, metavar="FORMULA")
     p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("gap", parents=[systems], help="accepted-minus-enumerated report")
+    p = sub.add_parser("gap", parents=[runs], help="accepted-minus-enumerated report")
     p.add_argument(
         "--close-with",
         dest="close_with",
@@ -438,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("demo", parents=[formats], help="write a demonstration system file")
-    p.add_argument("--variant", choices=("EQ1", "TWO_BRANCH"), required=True)
+    p.add_argument("--variant", choices=[v.value for v in DemoVariant], required=True)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_demo)
 
@@ -453,7 +459,34 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# glibc's malloc maps a block of at least its mmap threshold on its own and
+# unmaps it when freed. By default the threshold rises to the size of each
+# mapped block freed, so after one run (a gap report's output alone is
+# megabytes) the store's columns, its intern tables and the saturation's
+# maps come from the heap in every later run in the same process, and fill
+# its holes in an order set by the heap's layout: on s9-gap the peak RSS of
+# repeated in-process runs then moved by up to 4 MB with small edits to the
+# package, and from one process to the next. A fixed threshold keeps those
+# containers mapped in every run. 256 KiB is twice the oracle's largest
+# mask (2^20 bits at its atom limit), so masks stay on the heap, where a
+# freed one is reused without a system call. The trim threshold, the free
+# space the heap may keep at its top, is set to twice that, as glibc sets it
+# when it moves the mmap threshold itself; left at its default, a freed mask
+# is handed back to the system and faulted in again by the next one.
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for this process, once;
+    elsewhere a no-op."""
+    libc = ctypes.CDLL(None) if sys.platform != "win32" else None
+    if hasattr(libc, "gnu_get_libc_version"):
+        mallopt = libc.mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 256 * 1024)  # M_MMAP_THRESHOLD
+        mallopt(-1, 512 * 1024)  # M_TRIM_THRESHOLD
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _pin_malloc_thresholds()
     try:
         args = _parser().parse_args(argv)
         return args.func(args)

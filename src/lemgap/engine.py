@@ -117,12 +117,23 @@ class NotDerived(Exception):
 
 @dataclass(frozen=True, slots=True)
 class Bounds:
+    """Saturation bounds, each a positive `int` (not a `bool`).
+
+    The one place bounds are checked, for a system document, a CLI
+    override and a `Bounds` built in code alike. Every field's type is
+    checked before any field's sign, so the first field in this order that
+    is not an integer is named before any that is not positive."""
+
     max_formula_size: int = 12
     max_generations: int = 50
     max_theorems: int = 100_000
 
     def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        for name, value in values:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"bounds.{name}", "must be an integer")
+        for name, value in values:
             if value < 1:
                 raise ConfigError(f"bounds.{name}", "must be a positive integer")
 
@@ -372,14 +383,7 @@ def load_system(text: str) -> AxiomaticSystem:
     for key in bounds_doc:
         if key not in _BOUNDS_KEYS:
             raise ConfigError(f"bounds.{key}", "unknown key")
-    bound_args = {}
-    for key in _BOUNDS_KEYS:
-        if key in bounds_doc:
-            value = bounds_doc[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"bounds.{key}", "must be an integer")
-            bound_args[key] = value
-    bounds = Bounds(**bound_args)
+    bounds = Bounds(**bounds_doc)
 
     atoms_doc = doc.get("atoms")
     if atoms_doc is None:

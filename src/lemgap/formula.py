@@ -110,11 +110,14 @@ class FormulaStore:
     text cache; the oracle also keeps a table per store (see
     `lemgap.oracle`). Queries such as `lbi_accepted`, `independent` and
     `check_proof` look nodes up without interning. It is not thread-safe.
-    `node`, `size`, `render` and the constructors assert that an id is
-    this store's. Inside the package, saturation, the oracle and gap
-    reports read the columns and intern over plain indices; an id from
-    outside is checked once, where it enters, and a `FormulaId` is built
-    only for what is handed back.
+    Every public entry that takes an id asserts that it is this store's,
+    by the one predicate `f in store` (the store's tag, and an index in
+    `range(len(store))`), through `_index` for one id or `_indices` for
+    many; `render`, which a gap report calls per witness, spells it
+    inline. Inside the package, saturation, the oracle and gap reports read
+    the columns and intern over plain indices; an id from outside is
+    checked once, where it enters, and a `FormulaId` is built only for
+    what is handed back.
     """
 
     def __init__(self) -> None:
@@ -135,8 +138,7 @@ class FormulaStore:
 
     def node(self, f: FormulaId) -> Formula:
         """The node of `f`, built from the columns."""
-        assert f.store_tag == self._tag, "FormulaId belongs to a different store"
-        i = f.index
+        i = self._index(f)
         kind = self._kinds[i]
         if kind == ATOM:
             return Atom(self._names[i])
@@ -197,7 +199,8 @@ class FormulaStore:
         return self._neg(left) if kind == NOT else self._intern_binary(kind, left, right)
 
     def _index(self, f: FormulaId) -> int:
-        assert f in self, "FormulaId belongs to a different store"
+        """The index of `f`, asserted to be an id of this store."""
+        assert f in self, "FormulaId is not an id of this store"
         return f.index
 
     def atom(self, name: str) -> FormulaId:
@@ -222,17 +225,19 @@ class FormulaStore:
 
 
 def _indices(fs: Iterable[FormulaId], store: FormulaStore) -> list[int]:
-    """The store indices of `fs`, each checked to be an id of `store`."""
+    """The store indices of `fs`, each asserted to be an id of `store`:
+    the predicate of `FormulaStore.__contains__`, tested in bulk, in C."""
     ids = list(fs)
-    tag_ok = store._tag.__eq__
-    assert all(map(tag_ok, map(_id_tag, ids))), "FormulaId belongs to a different store"
-    return list(map(_id_index, ids))
+    indices = list(map(_id_index, ids))
+    assert all(map(store._tag.__eq__, map(_id_tag, ids))) and (
+        0 <= min(indices, default=0) and max(indices, default=-1) < len(store)
+    ), "FormulaId is not an id of this store"
+    return indices
 
 
 def size(f: FormulaId, store: FormulaStore) -> int:
     """AST node count: atoms count 1, each connective 1 plus its children."""
-    assert f in store
-    return store._sizes[f.index]
+    return store._sizes[store._index(f)]
 
 
 def _closure(indices: Iterable[int], store: FormulaStore) -> set[int]:
@@ -569,10 +574,13 @@ def render(f: FormulaId, store: FormulaStore) -> str:
     Caches the text of f and of its subformulas in the store, so each node
     only joins the cached texts of its children, which precede it.
     """
-    assert f.store_tag == store._tag, "FormulaId belongs to a different store"
-    if f.index < len(store._texts) and (text := store._texts[f.index]) is not None:
+    # `f in store`, spelled inline without a call: the gap report renders
+    # each witness, so this is the one entry called per witness.
+    i, tag = f
+    assert tag == store._tag and 0 <= i < len(store._kinds), "FormulaId is not an id of this store"
+    if i < len(store._texts) and (text := store._texts[i]) is not None:
         return text
-    return _fill_texts((f.index,), store)[f.index]
+    return _fill_texts((i,), store)[i]
 
 
 def _sort_canonical(indices: list[int], store: FormulaStore) -> None:

@@ -11,6 +11,7 @@ to show the difference disappear.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -18,10 +19,11 @@ from .engine import (
     AxiomaticSystem,
     EnumerationResult,
     RuleKind,
+    load_system,
     saturate,
 )
 from .formula import IMPLIES, NOT, FormulaId, FormulaStore, _case_splits, _kinds_of, _lbi_shapes
-from .formula import _positions, _texts_of, parse, render
+from .formula import _positions, _texts_of, render
 from .oracle import entails, independent
 
 __all__ = [
@@ -210,44 +212,37 @@ class DemoVariant(enum.Enum):
     TWO_BRANCH = "TWO_BRANCH"
 
 
+_DEMO_DOCUMENTS = {
+    DemoVariant.EQ1: {"atoms": ["p", "q"], "axioms": ["(p | ~p) -> q"], "rules": ["MP"]},
+    DemoVariant.TWO_BRANCH: {
+        "atoms": ["rh", "y"], "axioms": ["rh -> y", "~rh -> y"], "rules": ["MP"],
+    },
+}
+
+
 def demo_system(variant: DemoVariant | str) -> AxiomaticSystem:
-    """Canned system whose gap report is nonempty under plain MP.
+    """Canned system whose gap report is nonempty under plain MP, loaded
+    from its system document.
 
     EQ1: single axiom `(p | ~p) -> q`. The conclusion q is accepted with
     pivot p yet never enumerated, because neither p nor ~p is available.
     TWO_BRANCH: axioms `rh -> y` and `~rh -> y`; same phenomenon via the
     two-branch reading.
     """
-    variant = DemoVariant(variant)
-    store = FormulaStore()
-    if variant is DemoVariant.EQ1:
-        return AxiomaticSystem(
-            store=store,
-            atoms=("p", "q"),
-            axioms=(parse("(p | ~p) -> q", store),),
-            rules=frozenset({RuleKind.MP}),
-        )
-    return AxiomaticSystem(
-        store=store,
-        atoms=("rh", "y"),
-        axioms=(parse("rh -> y", store), parse("~rh -> y", store)),
-        rules=frozenset({RuleKind.MP}),
-    )
+    return load_system(json.dumps(_DEMO_DOCUMENTS[DemoVariant(variant)]))
 
 
 def demo_family(n: int) -> AxiomaticSystem:
-    """EQ1 generalized to n fresh pivots: axioms (p_i | ~p_i) -> q."""
+    """EQ1 generalized to n fresh pivots: axioms (p_i | ~p_i) -> q, loaded
+    from its system document."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    store = FormulaStore()
-    names = tuple(f"p{i}" for i in range(1, n + 1))
-    axioms = tuple(parse(f"({name} | ~{name}) -> q", store) for name in names)
-    return AxiomaticSystem(
-        store=store,
-        atoms=(*names, "q"),
-        axioms=axioms,
-        rules=frozenset({RuleKind.MP}),
-    )
+    names = [f"p{i}" for i in range(1, n + 1)]
+    return load_system(json.dumps({
+        "atoms": [*names, "q"],
+        "axioms": [f"({name} | ~{name}) -> q" for name in names],
+        "rules": ["MP"],
+    }))
 
 
 # ---------------------------------------------------------------------------

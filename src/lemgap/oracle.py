@@ -88,8 +88,7 @@ def evaluate(f: FormulaId, assignment: Assignment, store: FormulaStore) -> bool:
         except KeyError:
             raise MissingAtom(name) from None
 
-    assert f in store, "FormulaId belongs to a different store"
-    ((_, mask),) = _masks((f.index,), atom_value, 1, store)
+    ((_, mask),) = _masks((store._index(f),), atom_value, 1, store)
     return mask == 1
 
 

@@ -14,6 +14,8 @@ from lemgap.cli import MAX_SYSTEM_BYTES, main
 from lemgap.engine import RuleKind
 from lemgap.formula import FormulaStore
 
+from cli_corpus import CORPUS, write_files
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -408,16 +410,36 @@ def test_demo_machine_prints_document(capsys, tmp_path):
     assert json.loads(out)["axioms"] == ["(p | ~p) -> q"]
 
 
-@pytest.mark.parametrize("option", [
-    ["--system", "nope.json"], ["--max-size", "3"], ["--max-generations", "2"],
-], ids=lambda option: option[0])
-@pytest.mark.parametrize("command", ["parse", "demo"])
-def test_parse_and_demo_take_no_system_options(capsys, tmp_path, command, option):
-    # Neither command loads a system, so neither takes a system file or a bound.
-    args = ["p"] if command == "parse" else ["--variant", "EQ1", "--out", str(tmp_path / "d.json")]
-    code, out, err = run(capsys, command, *args, *option)
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: unrecognized arguments: {option[0]}") and err.count("\n") == 1
+# (command, option, the error it gives): each command rejects the options
+# it does not read. Neither `parse` nor `demo` loads a system, and
+# `classify` bounds no run and reads a system only with a mode flag.
+_UNREAD_OPTIONS = [
+    *(
+        (command, option, "unrecognized arguments: " + " ".join(option))
+        for command in ("parse", "demo")
+        for option in (["--system", "s.json"], ["--max-size", "3"], ["--max-generations", "2"])
+    ),
+    ("classify", ["--max-size", "3"], "unrecognized arguments: --max-size 3"),
+    ("classify", ["--max-generations", "2"], "unrecognized arguments: --max-generations 2"),
+    ("classify", ["--system", "s.json"], "--system is read only with --entails or --independent"),
+    (
+        "classify", ["--entails", "q", "--system", "s.json"],
+        "classify takes exactly one of a formula, --entails or --independent",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, message", _UNREAD_OPTIONS,
+    ids=[f"{command}-{option[0]}" for command, option, _ in _UNREAD_OPTIONS],
+)
+def test_parse_and_demo_take_no_system_options(
+    capsys, tmp_path, monkeypatch, command, option, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text('{"axioms": ["p"]}')
+    args = ["--variant", "EQ1", "--out", "d.json"] if command == "demo" else ["p|~p"]
+    assert run(capsys, command, *args, *option) == (1, "", f"error: {message}\n")
 
 
 def test_max_generations_override(capsys, tmp_path):
@@ -478,6 +500,31 @@ def test_warm_main_leaves_few_cyclic_objects(capsys):
             gc.enable()
     assert code == 0
     assert left == 0
+
+
+@pytest.mark.parametrize(
+    "glibc, calls", [(True, [(-3, 256 * 1024), (-1, 512 * 1024)]), (False, [])], ids=["glibc", "other"]
+)
+def test_main_pins_the_malloc_thresholds_once_on_glibc_only(capsys, monkeypatch, glibc, calls):
+    # Left dynamic, glibc's mmap threshold rises after a run frees a large
+    # block, and later runs in the process fill heap holes in a
+    # layout-dependent order (see `cli._pin_malloc_thresholds`).
+    seen = []
+
+    class Libc:
+        def __init__(self):
+            self.mallopt = lambda param, value: seen.append((param, value))
+
+    if glibc:
+        Libc.gnu_get_libc_version = lambda self: b"2.36"
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    cli._pin_malloc_thresholds.cache_clear()
+    try:
+        assert run(capsys, "parse", "p")[0] == 0
+        assert run(capsys, "parse", "q")[0] == 0
+    finally:
+        cli._pin_malloc_thresholds.cache_clear()
+    assert seen == calls
 
 
 # --- the machine-output encoder ---------------------------------------------------
@@ -764,3 +811,19 @@ def test_malformed_system_documents_end_in_an_exit_code(tmp_path_factory, text, 
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err)
         else:
             assert err.getvalue() == "", (argv, err)
+
+
+# --- golden corpus ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "case", json.loads(CORPUS.read_text(encoding="utf-8")), ids=lambda case: case["id"]
+)
+def test_cli_corpus(capsys, tmp_path, monkeypatch, case):
+    # Exit code, stdout digest and exact stderr of each case, as
+    # `tests/cli_corpus.py` recorded them.
+    write_files(case["files"], tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (
+        case["exit"], case["stdout_sha256"], case["stderr"]
+    )

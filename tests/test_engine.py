@@ -111,6 +111,27 @@ def test_load_system_bounds_validation():
     with pytest.raises(ConfigError) as err:
         load_system('{"bounds": {"max_theorems": "lots", "max_formula_size": "big"}}')
     assert err.value.field == "bounds.max_formula_size"
+    # `Bounds` is the one bound validator, so values no document could
+    # hold are rejected when built in code too.
+    for name, value in [
+        ("max_theorems", 2.5), ("max_formula_size", 9.0),
+        ("max_generations", True), ("max_theorems", "3"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            Bounds(**{name: value})
+        assert (err.value.field, err.value.reason) == (f"bounds.{name}", "must be an integer")
+
+
+def test_system_document_of_every_accepted_bounds_loads_back():
+    system = load_system('{"axioms": ["p"]}')
+    for name in ("max_formula_size", "max_generations", "max_theorems"):
+        for value in [1, 7, 2**40, 0, -3, 9.0, 2.5, True, False, "3", None]:
+            try:
+                bounds = Bounds(**{name: value})
+            except ConfigError:
+                continue
+            doc = system_document(replace(system, bounds=bounds))
+            assert load_system(json.dumps(doc)).bounds == bounds
 
 
 @pytest.mark.parametrize("field_name", ["axioms", "side_formulas"])

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from lemgap.engine import AxiomaticSystem, RuleKind, apply_rule
 from lemgap.formula import (
     And,
     Atom,
@@ -22,6 +23,7 @@ from lemgap.formula import (
     size,
     subformula_closure,
 )
+from lemgap.oracle import classify, entails, evaluate
 
 
 def shapes(atom_names=("p", "q", "r")):
@@ -285,6 +287,38 @@ def test_cross_store_id_rejected():
     # Same index, other store: a different id. Equal to its plain tuple.
     assert store_b.atom("p") != f
     assert f == (f.index, f.store_tag)
+
+
+# Every public entry that takes an id, each called on one `f`.
+_ID_ENTRIES = {
+    "render": render,
+    "size": size,
+    "atoms_of": atoms_of,
+    "subformula_closure": lambda f, store: subformula_closure([f], store),
+    "canonical_order": lambda f, store: canonical_order([f], store),
+    "match_lbi_shape": match_lbi_shape,
+    "node": lambda f, store: store.node(f),
+    "evaluate": lambda f, store: evaluate(f, {}, store),
+    "classify": classify,
+    "entails": lambda f, store: entails((), f, store),
+    "apply_rule": lambda f, store: apply_rule(RuleKind.AND_ELIM_L, [f], store),
+    "AxiomaticSystem": lambda f, store: AxiomaticSystem(
+        store=store, atoms=("p", "q"), axioms=(f,), rules=frozenset()
+    ),
+}
+
+
+@pytest.mark.parametrize("at_end", [False, True], ids=["index-minus-1", "index-len"])
+@pytest.mark.parametrize("entry", list(_ID_ENTRIES))
+def test_out_of_range_id_rejected(entry, at_end):
+    # An id with the store's tag but an index outside the store is not
+    # the store's: -1 would otherwise read the last node, `(p | ~p) -> q`.
+    store = FormulaStore()
+    parse("(p | ~p) -> q", store)
+    forged = FormulaId(len(store) if at_end else -1, store._tag)
+    with pytest.raises(AssertionError):
+        _ID_ENTRIES[entry](forged, store)
+    assert forged not in store
 
 
 def test_children_precede_parents():
