@@ -336,8 +336,8 @@ def cmd_prove(args) -> int:
         print(f"internal error: extracted proof failed replay: {failure}", file=sys.stderr)
         return EXIT_USAGE
     store = system.store
-    texts = _texts_of([step.conclusion.index for step in proof], store)
-    rows = _rows(texts, ((step.rule, step.premises) for step in proof))
+    texts = _texts_of([conclusion.index for conclusion, _, _ in proof], store)
+    rows = _rows(texts, ((rule, premises) for _, rule, premises in proof))
     if args.format == "machine":
         _emit({"goal": render(goal, store), "steps": rows})
     else:

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .formula import (
     AND,
@@ -36,7 +36,6 @@ from .formula import (
     atoms_of,
     parse,
     render,
-    size,
 )
 
 __all__ = [
@@ -162,22 +161,22 @@ class AxiomaticSystem:
             raise ConfigError("atoms", "duplicate atom names")
         # One closure over every formula finds whether any atom is
         # undeclared; only then is each formula scanned, so that the error
-        # names the first one that uses such an atom.
-        used = _atom_names(_indices((*self.axioms, *self.side_formulas), self.store), self.store)
+        # names the first one that uses such an atom. `_indices` checks
+        # every id, so each size is read off the store's column.
+        store, limit = self.store, self.bounds.max_formula_size
+        used = _atom_names(_indices((*self.axioms, *self.side_formulas), store), store)
         undeclared = used - declared
         for field_name, formulas, too_large in (
             ("axioms", self.axioms, AxiomTooLarge),
             ("side_formulas", self.side_formulas, ConfigError),
         ):
             for i, f in enumerate(formulas):
-                for name in atoms_of(f, self.store) if undeclared else ():
+                for name in atoms_of(f, store) if undeclared else ():
                     if name in undeclared:
                         raise ConfigError(f"{field_name}[{i}]", f"uses undeclared atom {name!r}")
-                if size(f, self.store) > self.bounds.max_formula_size:
+                if (formula_size := store._sizes[f.index]) > limit:
                     raise too_large(
-                        f"{field_name}[{i}]",
-                        f"size {size(f, self.store)} exceeds max_formula_size "
-                        f"{self.bounds.max_formula_size}",
+                        f"{field_name}[{i}]", f"size {formula_size} exceeds max_formula_size {limit}"
                     )
 
     def universe(self) -> tuple[FormulaId, ...]:
@@ -225,12 +224,13 @@ def _unpack(step: int) -> tuple[Optional[RuleKind], tuple[int, ...]]:
     return rule, (first,) if arity == 1 else (first, step >> _SECOND)
 
 
-@dataclass(frozen=True, slots=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     """One derivation: `rule` applied to earlier steps gives `conclusion`.
 
     `rule` is None for axioms. Premises are indices of earlier steps, so
-    each premise is strictly smaller than the step's own position.
+    each premise is strictly smaller than the step's own position. As a
+    NamedTuple, like `FormulaId`, it is built, hashed and compared in C,
+    and it compares equal to a plain `(conclusion, rule, premises)` tuple.
     """
 
     conclusion: FormulaId
@@ -387,7 +387,9 @@ def load_system(text: str) -> AxiomaticSystem:
 
     atoms_doc = doc.get("atoms")
     if atoms_doc is None:
-        atoms = tuple(sorted(_atom_names(_indices((*axioms, *side), store), store)))
+        # The store is this document's own, so its atoms are the ones the
+        # axioms and side formulas use.
+        atoms = tuple(sorted(store._names.values()))
     else:
         if not isinstance(atoms_doc, list) or not all(isinstance(a, str) for a in atoms_doc):
             raise ConfigError("atoms", "must be a list of atom names")
@@ -537,7 +539,10 @@ class _Saturation:
         # max_size - 2 (at least one list); upto[-1] holds every theorem of
         # a larger budget too. Kept only when AND_INTRO is enabled.
         self.upto: list[list[int]] = [[]] if RuleKind.AND_INTRO in self.rules else []
-        self.impl_by_antecedent: dict[int, list[int]] = {}
+        # Antecedent -> the position of its one implication, or a list of
+        # positions from its second on. An int is not tracked by the cyclic
+        # collector, and a chain has one implication per antecedent.
+        self.impl_by_antecedent: dict[int, int | list[int]] = {}
         # Found once, on admission, for the newest generation: the positions
         # of its implications, the premises MP, LBI_RULE and CASE_SPLIT look
         # for; how many conjunctions it holds; and the positions of those
@@ -590,8 +595,14 @@ class _Saturation:
             i for i in map(self.position.get, offered) if i is not None
         )
         self.new_implications = _positions(IMPLIES, new_kinds, first)
+        by_antecedent = self.impl_by_antecedent
         for j in self.new_implications:
-            self.impl_by_antecedent.setdefault(self.lefts[self.theorems[j]], []).append(j)
+            antecedent = self.lefts[self.theorems[j]]
+            known = by_antecedent.setdefault(antecedent, j)
+            if type(known) is list:
+                known.append(j)
+            elif known != j:
+                by_antecedent[antecedent] = [known, j]
 
     def seed(self) -> None:
         axiom = _pack(None)
@@ -639,7 +650,8 @@ class _Saturation:
             found = [(i, by_antecedent.get(theorems[i], ())) for i in delta]
         for i, implications in found:
             if i is not None and i >= delta.start:
-                pairs.update((i, j) for j in implications)
+                js = (implications,) if type(implications) is int else implications
+                pairs.update((i, j) for j in js)
         mp = _pack(RuleKind.MP)
         for i, j in sorted(pairs):
             self.applications += 1
@@ -819,10 +831,11 @@ def extract_proof(result: EnumerationResult, goal: FormulaId) -> tuple[ProofStep
     ordered = sorted(needed)
     renumber = {old: new for new, old in enumerate(ordered)}.__getitem__
     conclusions = result._store._ids(map(result._indices.__getitem__, ordered))
-    return tuple(
-        ProofStep(conclusion, rule, tuple(map(renumber, premises)))
+    # tuple.__new__ builds each step in C, as `FormulaStore._ids` builds ids.
+    return tuple(map(tuple.__new__, repeat(ProofStep), (
+        (conclusion, rule, tuple(map(renumber, premises)))
         for conclusion, (rule, premises) in zip(conclusions, map(needed.__getitem__, ordered))
-    )
+    )))
 
 
 @dataclass(frozen=True, slots=True)
@@ -845,15 +858,15 @@ def check_proof(
     candidate conclusions are looked up, not interned: a step's
     conclusion is already in the store, so the replay adds nothing to it.
     """
-    store = system.store
-    conclusions = _indices([step.conclusion for step in steps], store)
+    store, enabled, lookup = system.store, system.rules, system.store._lookup
+    conclusions = _indices([conclusion for conclusion, _, _ in steps], store)
+    premise_index = conclusions.__getitem__
     axioms = set(_indices(system.axioms, store))
     # Only OR_INTRO and LEM_AXIOM steps range over the universe.
-    ranging = any(step.rule in (RuleKind.OR_INTRO, RuleKind.LEM_AXIOM) for step in steps)
+    ranging = not {RuleKind.OR_INTRO, RuleKind.LEM_AXIOM}.isdisjoint(rule for _, rule, _ in steps)
     universe = _indices(system.universe(), store) if ranging else []
     lem_instances: Optional[set[int]] = None
-    for i, (step, conclusion) in enumerate(zip(steps, conclusions)):
-        rule, premises = step.rule, step.premises
+    for i, ((_, rule, premises), conclusion) in enumerate(zip(steps, conclusions)):
         for p in premises:
             if not 0 <= p < i:
                 return InvalidStep(i, f"premise {p} does not precede the step")
@@ -863,20 +876,19 @@ def check_proof(
             if conclusion not in axioms:
                 return InvalidStep(i, "conclusion is not an axiom")
             continue
-        if rule not in system.rules:
+        if rule not in enabled:
             return InvalidStep(i, f"rule {rule.value} is not enabled")
         if rule is RuleKind.LEM_AXIOM:
             if premises:
                 return InvalidStep(i, "LEM_AXIOM step with premises")
             if lem_instances is None:
-                lem_instances = set(_conclusions(rule, (), store, universe, store._lookup))
+                lem_instances = set(_conclusions(rule, (), store, universe, lookup))
             if conclusion not in lem_instances:
                 return InvalidStep(i, "conclusion is not a LEM instance over the universe")
             continue
         if len(premises) != RULE_ARITY[rule]:
             return InvalidStep(i, f"wrong premise count for {rule.value}")
-        premise_indices = [conclusions[p] for p in premises]
-        found = _conclusions(rule, premise_indices, store, universe, store._lookup)
+        found = _conclusions(rule, tuple(map(premise_index, premises)), store, universe, lookup)
         if conclusion not in found:
             return InvalidStep(i, "conclusion not reproduced by the rule")
     return None

@@ -111,8 +111,8 @@ class FormulaStore:
     `lemgap.oracle`). Queries such as `lbi_accepted`, `independent` and
     `check_proof` look nodes up without interning. It is not thread-safe.
     Every public entry that takes an id asserts that it is this store's,
-    by the one predicate `f in store` (the store's tag, and an index in
-    `range(len(store))`), through `_index` for one id or `_indices` for
+    by the one predicate `f in store` (the store's tag, and an `int` index
+    in `range(len(store))`), through `_index` for one id or `_indices` for
     many; `render`, which a gap report calls per witness, spells it
     inline. Inside the package, saturation, the oracle and gap reports read
     the columns and intern over plain indices; an id from outside is
@@ -134,7 +134,7 @@ class FormulaStore:
         return len(self._kinds)
 
     def __contains__(self, f: FormulaId) -> bool:
-        return f.store_tag == self._tag and 0 <= f.index < len(self._kinds)
+        return f.store_tag == self._tag and type(f.index) is int and 0 <= f.index < len(self._kinds)
 
     def node(self, f: FormulaId) -> Formula:
         """The node of `f`, built from the columns."""
@@ -229,8 +229,11 @@ def _indices(fs: Iterable[FormulaId], store: FormulaStore) -> list[int]:
     the predicate of `FormulaStore.__contains__`, tested in bulk, in C."""
     ids = list(fs)
     indices = list(map(_id_index, ids))
-    assert all(map(store._tag.__eq__, map(_id_tag, ids))) and (
-        0 <= min(indices, default=0) and max(indices, default=-1) < len(store)
+    assert (
+        all(map(store._tag.__eq__, map(_id_tag, ids)))
+        and {int}.issuperset(map(type, indices))
+        and 0 <= min(indices, default=0)
+        and max(indices, default=-1) < len(store)
     ), "FormulaId is not an id of this store"
     return indices
 
@@ -540,6 +543,8 @@ def _fill_texts(indices: Iterable[int], store: FormulaStore) -> list[Optional[st
     candidate, is rendered in one pass over `indices`. Only the others
     are walked, to find their subformulas without text, which are then
     rendered in ascending index order, children before their parents.
+    `_sort_canonical` does not call it for a generation of one theorem,
+    which it leaves to be rendered when it is first shown.
     """
     texts = store._texts
     kinds, lefts, rights = store._kinds, store._lefts, store._rights
@@ -577,7 +582,9 @@ def render(f: FormulaId, store: FormulaStore) -> str:
     # `f in store`, spelled inline without a call: the gap report renders
     # each witness, so this is the one entry called per witness.
     i, tag = f
-    assert tag == store._tag and 0 <= i < len(store._kinds), "FormulaId is not an id of this store"
+    assert tag == store._tag and type(i) is int and 0 <= i < len(store._kinds), (
+        "FormulaId is not an id of this store"
+    )
     if i < len(store._texts) and (text := store._texts[i]) is not None:
         return text
     return _fill_texts((i,), store)[i]
@@ -586,8 +593,12 @@ def render(f: FormulaId, store: FormulaStore) -> str:
 def _sort_canonical(indices: list[int], store: FormulaStore) -> None:
     """Sort formula indices in place by (size, text), the canonical order.
 
-    Renders, and caches, only the indexed formulas and their subformulas.
+    Renders, and caches, only the indexed formulas and their subformulas;
+    fewer than two indices are already sorted, and render nothing (a chain
+    saturates one theorem per generation).
     """
+    if len(indices) < 2:
+        return
     texts = _fill_texts(indices, store)
     # A stable sort by size of the text-sorted list orders by (size, text)
     # without building a key tuple per formula.

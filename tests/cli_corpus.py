@@ -29,6 +29,9 @@ CORPUS = Path(__file__).with_name("cli_corpus.json")
 EQ1 = {"atoms": ["p", "q"], "axioms": ["(p | ~p) -> q"], "rules": ["MP"]}
 TWO_BRANCH = {"atoms": ["rh", "y"], "axioms": ["rh -> y", "~rh -> y"], "rules": ["MP"]}
 CHAIN = {"axioms": ["a", "a -> b", "b -> c"], "rules": ["MP"]}
+# Generations of one theorem each, then one of two: the boundary of the
+# canonical sort, which a generation of fewer than two theorems skips.
+WIDEN = {"axioms": ["a", "a -> b", "b -> c & d"], "rules": ["MP", "AND_ELIM_L", "AND_ELIM_R"]}
 GROW = {"axioms": ["p", "q"], "rules": ["AND_INTRO"]}
 LBI = {"axioms": ["(p | ~p) -> q"], "rules": ["MP", "LBI_RULE"]}
 SPLIT = {"axioms": ["rh -> y", "~rh -> y"], "rules": ["MP", "CASE_SPLIT"]}
@@ -105,6 +108,7 @@ def _cases() -> list[tuple[str, dict, list[str]]]:
 
     both("enumerate-eq1", eq1, "enumerate", "--system", "eq1.json")
     both("enumerate-chain", chain, "enumerate", "--system", "chain.json")
+    both("enumerate-widen", {"widen.json": WIDEN}, "enumerate", "--system", "widen.json")
     both("enumerate-max-size", {"grow.json": GROW},
          "enumerate", "--system", "grow.json", "--max-size", "3")
     both("enumerate-max-generations", chain,
@@ -139,6 +143,7 @@ def _cases() -> list[tuple[str, dict, list[str]]]:
     both("prove-not-derived", eq1, "prove", "--system", "eq1.json", "--goal", "q")
     both("prove-axiom", eq1, "prove", "--system", "eq1.json", "--goal", "(p|~p)->q")
     both("prove-mp", chain, "prove", "--system", "chain.json", "--goal", "c")
+    both("prove-widen", {"widen.json": WIDEN}, "prove", "--system", "widen.json", "--goal", "d")
     both("prove-lbi-rule", {"lbi.json": LBI}, "prove", "--system", "lbi.json", "--goal", "q")
     both("prove-case-split", {"split.json": SPLIT},
          "prove", "--system", "split.json", "--goal", "y")

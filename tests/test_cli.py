@@ -14,7 +14,7 @@ from lemgap.cli import MAX_SYSTEM_BYTES, main
 from lemgap.engine import RuleKind
 from lemgap.formula import FormulaStore
 
-from cli_corpus import CORPUS, write_files
+from cli_corpus import CORPUS, _cases, write_files
 
 
 def run(capsys, *argv):
@@ -827,3 +827,10 @@ def test_cli_corpus(capsys, tmp_path, monkeypatch, case):
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (
         case["exit"], case["stdout_sha256"], case["stderr"]
     )
+
+
+def test_cli_corpus_file_holds_every_case_of_its_writer():
+    # A case added to `tests/cli_corpus.py` but not written to the file
+    # would otherwise go unpinned.
+    written = json.loads(CORPUS.read_text(encoding="utf-8"))
+    assert [(case["id"], case["files"], case["argv"]) for case in written] == _cases()

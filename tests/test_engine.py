@@ -65,6 +65,20 @@ def test_load_system_minimal_document():
     assert system.bounds == Bounds(12, 50, 100_000)
 
 
+def test_load_system_infers_atoms_without_a_second_closure(monkeypatch):
+    # Omitted atoms are read off the document's own store, so they include
+    # an atom only a side formula uses, and only the system's own check
+    # walks the formulas' subformula closure.
+    calls = []
+    atom_names = engine._atom_names
+    monkeypatch.setattr(
+        engine, "_atom_names", lambda *args: calls.append(args) or atom_names(*args)
+    )
+    system = load_system(json.dumps({"axioms": ["zeta -> b", "a"], "side_formulas": ["c | ~a"]}))
+    assert system.atoms == ("a", "b", "c", "zeta")
+    assert len(calls) == 1
+
+
 def test_load_system_empty_axioms():
     system = load_system('{"axioms": []}')
     assert system.axioms == ()
@@ -828,6 +842,30 @@ def test_extract_proof_chain_steps_before_and_after_reading_the_run_steps():
     assert check_proof(before, system) is None
 
 
+def test_proof_steps_are_named_tuples():
+    # Attribute access and `rule_name` as before; equal to a plain tuple.
+    store = FormulaStore()
+    p = store.atom("p")
+    step = ProofStep(p, RuleKind.MP, (0, 1))
+    assert (step.conclusion, step.rule, step.premises, step.rule_name) == (
+        p, RuleKind.MP, (0, 1), "MP"
+    )
+    assert step == (p, RuleKind.MP, (0, 1)) and hash(step) == hash((p, RuleKind.MP, (0, 1)))
+    assert step._replace(premises=(1, 0)) == ProofStep(p, RuleKind.MP, (1, 0))
+    with pytest.raises(AttributeError):
+        step.rule = None
+    assert repr(step) == (
+        f"ProofStep(conclusion=FormulaId(index=0, store_tag={p.store_tag}), "
+        "rule=<RuleKind.MP: 'MP'>, premises=(0, 1))"
+    )
+    assert ProofStep(p, None, ()).rule_name == "AXIOM"
+    system = mk_system(["a", "a -> b"], [RuleKind.MP])
+    first, second = saturate(system), saturate(system)
+    assert first.steps == second.steps
+    proof = extract_proof(first, parse("b", system.store))
+    assert proof == first.steps and {type(step) for step in proof} == {ProofStep}
+
+
 def test_results_compare_by_value_and_are_read_only():
     system = mk_system(["p", "p -> q", "q -> r"], [RuleKind.MP], atoms=("p", "q", "r"))
     first, second = saturate(system), saturate(system)
@@ -1091,6 +1129,28 @@ def test_saturation_keeps_no_tracked_object_per_theorem(collector_state):
         growth.append(len(gc.get_objects()) - before)
         del result
     assert growth[0] == growth[1] == growth[2]
+
+
+def test_saturation_keeps_no_tracked_object_per_antecedent():
+    # An antecedent with one implication keeps its position as an int,
+    # which the collector does not track: a chain has 2,000 of them.
+    chain = mk_system(
+        ["a0"] + [f"a{i} -> a{i + 1}" for i in range(2000)], [RuleKind.MP], max_generations=2001
+    )
+    run = engine._Saturation(chain)
+    assert len(run.run().generations) == 4001
+    assert len(run.impl_by_antecedent) == 2000
+    assert not any(map(gc.is_tracked, run.impl_by_antecedent.values()))
+    # From its second implication on, an antecedent keeps a list, and MP
+    # fires on each implication in it.
+    shared = mk_system(["p", "p -> q", "p -> r", "p -> s", "q -> t"], [RuleKind.MP])
+    run = engine._Saturation(shared)
+    result = run.run()
+    assert theorem_texts(result, shared.store) == [
+        "p", "p -> q", "p -> r", "p -> s", "q -> t", "q", "r", "s", "t"
+    ]
+    p, q = parse("p", shared.store).index, parse("q", shared.store).index
+    assert run.impl_by_antecedent == {p: [1, 2, 3], q: 4}
 
 
 @pytest.mark.parametrize(

@@ -308,14 +308,17 @@ _ID_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("at_end", [False, True], ids=["index-minus-1", "index-len"])
+@pytest.mark.parametrize(
+    "index", [-1, None, 1.0, True], ids=["index-minus-1", "index-len", "index-float", "index-bool"]
+)
 @pytest.mark.parametrize("entry", list(_ID_ENTRIES))
-def test_out_of_range_id_rejected(entry, at_end):
-    # An id with the store's tag but an index outside the store is not
-    # the store's: -1 would otherwise read the last node, `(p | ~p) -> q`.
+def test_out_of_range_id_rejected(entry, index):
+    # An id with the store's tag but an index outside the store, or not an
+    # `int`, is not the store's: -1 would otherwise read the last node,
+    # `(p | ~p) -> q`, True would render `~p`, and 1.0 fail to index a list.
     store = FormulaStore()
     parse("(p | ~p) -> q", store)
-    forged = FormulaId(len(store) if at_end else -1, store._tag)
+    forged = FormulaId(len(store) if index is None else index, store._tag)
     with pytest.raises(AssertionError):
         _ID_ENTRIES[entry](forged, store)
     assert forged not in store
