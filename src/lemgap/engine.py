@@ -191,9 +191,9 @@ class AxiomaticSystem:
         return replace(self, rules=frozenset(rules))
 
 
-def _rule_name(rule: Optional[RuleKind]) -> str:
-    """The name a step's rule is shown by: `AXIOM` for an axiom (None)."""
-    return "AXIOM" if rule is None else rule.value
+# The name a step's rule is shown by, `AXIOM` for an axiom (None), looked
+# up in C: output shows it per step, and `rule.value` is a Python property.
+_rule_name = {None: "AXIOM", **{rule: rule.value for rule in RuleKind}}.__getitem__
 
 
 # A run keeps each step as one int: the rule's code, its position in
@@ -616,23 +616,6 @@ class _Saturation:
                 self.offer(store._intern_binary(OR, x, store._neg(x)), lem)
         self.admit_generation(0)
 
-    def round(self, delta: range) -> None:
-        """Apply every enabled rule to every premise tuple touching `delta`,
-        the newest generation: the tail of the theorem list."""
-        rules = self.rules
-        if RuleKind.MP in rules:
-            self.run_mp(delta)
-        if RuleKind.AND_INTRO in rules:
-            self.run_and_intro(delta)
-        if RuleKind.AND_ELIM_L in rules or RuleKind.AND_ELIM_R in rules:
-            self.run_and_elim(delta)
-        if RuleKind.OR_INTRO in rules:
-            self.run_or_intro(delta)
-        if RuleKind.LBI_RULE in rules:
-            self.run_lbi(delta)
-        if RuleKind.CASE_SPLIT in rules:
-            self.run_case_split(delta)
-
     def run_mp(self, delta: range) -> None:
         theorems, position = self.theorems, self.position
         pairs = set()
@@ -750,6 +733,18 @@ class _Saturation:
             self.offer(self.rights[theorems[i]], _pack(RuleKind.CASE_SPLIT, i, j))
 
     def run(self) -> EnumerationResult:
+        # Each enabled rule's runner, in this order; AND_ELIM's runs once for
+        # either side. Functions, not bound methods, so no cycle is made.
+        runners = [
+            getattr(_Saturation, name) for rules, name in (
+                ({RuleKind.MP}, "run_mp"),
+                ({RuleKind.AND_INTRO}, "run_and_intro"),
+                ({RuleKind.AND_ELIM_L, RuleKind.AND_ELIM_R}, "run_and_elim"),
+                ({RuleKind.OR_INTRO}, "run_or_intro"),
+                ({RuleKind.LBI_RULE}, "run_lbi"),
+                ({RuleKind.CASE_SPLIT}, "run_case_split"),
+            ) if not self.rules.isdisjoint(rules)
+        ]
         self.seed()
         rounds = 0
         gen_start = 0
@@ -759,9 +754,12 @@ class _Saturation:
             if rounds >= self.system.bounds.max_generations:
                 stop_reason = "max_generations"
                 break
+            # A round applies every enabled rule to every premise tuple
+            # touching delta, the newest generation.
             delta = range(gen_start, len(self.theorems))
             gen_start = len(self.theorems)
-            self.round(delta)
+            for run_rule in runners:
+                run_rule(self, delta)
             rounds += 1
             if not self.candidates:
                 stop_reason = "fixed_point"
@@ -859,6 +857,7 @@ def check_proof(
     conclusion is already in the store, so the replay adds nothing to it.
     """
     store, enabled, lookup = system.store, system.rules, system.store._lookup
+    lem_axiom = RuleKind.LEM_AXIOM  # read once: `EnumType.__getattr__` slows member lookups
     conclusions = _indices([conclusion for conclusion, _, _ in steps], store)
     premise_index = conclusions.__getitem__
     axioms = set(_indices(system.axioms, store))
@@ -878,7 +877,7 @@ def check_proof(
             continue
         if rule not in enabled:
             return InvalidStep(i, f"rule {rule.value} is not enabled")
-        if rule is RuleKind.LEM_AXIOM:
+        if rule is lem_axiom:
             if premises:
                 return InvalidStep(i, "LEM_AXIOM step with premises")
             if lem_instances is None:
