@@ -857,7 +857,9 @@ def check_proof(
     conclusion is already in the store, so the replay adds nothing to it.
     """
     store, enabled, lookup = system.store, system.rules, system.store._lookup
-    lem_axiom = RuleKind.LEM_AXIOM  # read once: `EnumType.__getattr__` slows member lookups
+    # Read once: up to Python 3.11 `EnumType` defines `__getattr__`, which
+    # slows every member lookup.
+    lem_axiom = RuleKind.LEM_AXIOM
     conclusions = _indices([conclusion for conclusion, _, _ in steps], store)
     premise_index = conclusions.__getitem__
     axioms = set(_indices(system.axioms, store))
