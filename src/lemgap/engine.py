@@ -734,15 +734,15 @@ class _Saturation:
 
     def run(self) -> EnumerationResult:
         # Each enabled rule's runner, in this order; AND_ELIM's runs once for
-        # either side. Functions, not bound methods, so no cycle is made.
+        # either side.
         runners = [
-            getattr(_Saturation, name) for rules, name in (
-                ({RuleKind.MP}, "run_mp"),
-                ({RuleKind.AND_INTRO}, "run_and_intro"),
-                ({RuleKind.AND_ELIM_L, RuleKind.AND_ELIM_R}, "run_and_elim"),
-                ({RuleKind.OR_INTRO}, "run_or_intro"),
-                ({RuleKind.LBI_RULE}, "run_lbi"),
-                ({RuleKind.CASE_SPLIT}, "run_case_split"),
+            run for rules, run in (
+                ({RuleKind.MP}, self.run_mp),
+                ({RuleKind.AND_INTRO}, self.run_and_intro),
+                ({RuleKind.AND_ELIM_L, RuleKind.AND_ELIM_R}, self.run_and_elim),
+                ({RuleKind.OR_INTRO}, self.run_or_intro),
+                ({RuleKind.LBI_RULE}, self.run_lbi),
+                ({RuleKind.CASE_SPLIT}, self.run_case_split),
             ) if not self.rules.isdisjoint(rules)
         ]
         self.seed()
@@ -759,7 +759,7 @@ class _Saturation:
             delta = range(gen_start, len(self.theorems))
             gen_start = len(self.theorems)
             for run_rule in runners:
-                run_rule(self, delta)
+                run_rule(delta)
             rounds += 1
             if not self.candidates:
                 stop_reason = "fixed_point"
