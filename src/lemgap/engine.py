@@ -174,9 +174,9 @@ class AxiomaticSystem:
                 for name in atoms_of(f, store) if undeclared else ():
                     if name in undeclared:
                         raise ConfigError(f"{field_name}[{i}]", f"uses undeclared atom {name!r}")
-                if (formula_size := store._sizes[f.index]) > limit:
+                if (n := store._sizes[f.index]) > limit:
                     raise too_large(
-                        f"{field_name}[{i}]", f"size {formula_size} exceeds max_formula_size {limit}"
+                        f"{field_name}[{i}]", f"size {n} exceeds max_formula_size {limit}"
                     )
 
     def universe(self) -> tuple[FormulaId, ...]:
