@@ -1,67 +1,14 @@
 """Propositional-logic workbench: saturation engine, truth-table oracle,
-and excluded-middle gap reports."""
+and excluded-middle gap reports.
 
-from .formula import (
-    And,
-    Atom,
-    Formula,
-    FormulaId,
-    FormulaStore,
-    Implies,
-    Not,
-    Or,
-    ParseError,
-    atoms_of,
-    match_lbi_shape,
-    parse,
-    render,
-    size,
-    subformula_closure,
-)
-from .oracle import (
-    ATOM_LIMIT,
-    Assignment,
-    Entailment,
-    MissingAtom,
-    TooManyAtoms,
-    Verdict,
-    classify,
-    entails,
-    evaluate,
-    independent,
-)
-from .engine import (
-    ArityMismatch,
-    AxiomTooLarge,
-    AxiomaticSystem,
-    Bounds,
-    ConfigError,
-    EnumerationResult,
-    InvalidStep,
-    NotDerived,
-    ProofStep,
-    RuleKind,
-    Stats,
-    apply_rule,
-    check_proof,
-    extract_proof,
-    load_system,
-    saturate,
-    system_document,
-)
-from .gap import (
-    DemoVariant,
-    GapMember,
-    GapReport,
-    GapVerification,
-    LbiWitness,
-    PreconditionViolated,
-    WitnessMode,
-    demo_family,
-    demo_system,
-    gap_report,
-    lbi_accepted,
-    report_document,
-)
+The package exports each module's `__all__`, and nothing else: a public
+name is listed once, in the module that defines it.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from . import engine, formula, gap, oracle
+from .engine import *
+from .formula import *
+from .gap import *
+from .oracle import *
+
+__all__ = [*formula.__all__, *oracle.__all__, *engine.__all__, *gap.__all__]

@@ -302,7 +302,7 @@ class EnumerationResult:
         return hash(self._key())
 
     def index_of(self, f: FormulaId) -> Optional[int]:
-        if f.store_tag != self._store._tag:
+        if f not in self._store:
             return None
         try:
             return self._indices.index(f.index)

@@ -111,13 +111,12 @@ class FormulaStore:
     `lemgap.oracle`). Queries such as `lbi_accepted`, `independent` and
     `check_proof` look nodes up without interning. It is not thread-safe.
     Every public entry that takes an id asserts that it is this store's,
-    by the one predicate `f in store` (the store's tag, and an `int` index
-    in `range(len(store))`), through `_index` for one id or `_indices` for
-    many; `render`, which a gap report calls per witness, spells it
-    inline. Inside the package, saturation, the oracle and gap reports read
-    the columns and intern over plain indices; an id from outside is
-    checked once, where it enters, and a `FormulaId` is built only for
-    what is handed back.
+    by the one predicate `f in store` (an `int` tag equal to the store's,
+    and an `int` index in `range(len(store))`), through `_index` for one
+    id or `_indices` for many. Inside the package, saturation, the oracle
+    and gap reports read the columns and intern over plain indices; an id
+    from outside is checked once, where it enters, and a `FormulaId` is
+    built only for what is handed back.
     """
 
     def __init__(self) -> None:
@@ -134,7 +133,8 @@ class FormulaStore:
         return len(self._kinds)
 
     def __contains__(self, f: FormulaId) -> bool:
-        return f.store_tag == self._tag and type(f.index) is int and 0 <= f.index < len(self._kinds)
+        i, tag = f
+        return type(tag) is int and tag == self._tag and type(i) is int and 0 <= i < len(self._kinds)
 
     def node(self, f: FormulaId) -> Formula:
         """The node of `f`, built from the columns."""
@@ -229,9 +229,10 @@ def _indices(fs: Iterable[FormulaId], store: FormulaStore) -> list[int]:
     the predicate of `FormulaStore.__contains__`, tested in bulk, in C."""
     ids = list(fs)
     indices = list(map(_id_index, ids))
+    tags = list(map(_id_tag, ids))
     assert (
-        all(map(store._tag.__eq__, map(_id_tag, ids)))
-        and {int}.issuperset(map(type, indices))
+        {int}.issuperset(map(type, itertools.chain(tags, indices)))
+        and tags.count(store._tag) == len(tags)
         and 0 <= min(indices, default=0)
         and max(indices, default=-1) < len(store)
     ), "FormulaId is not an id of this store"
@@ -540,30 +541,17 @@ def _fill_texts(indices: Iterable[int], store: FormulaStore) -> list[Optional[st
     checked.
 
     A formula whose children already have texts, such as each saturation
-    candidate, is rendered in one pass over `indices`. Only the others
-    are walked, to find their subformulas without text, which are then
-    rendered in ascending index order, children before their parents.
-    `_sort_canonical` does not call it for a generation of one theorem,
-    which it leaves to be rendered when it is first shown.
+    candidate, is rendered in one pass over `indices`. For the others,
+    `_closure` gives their subformulas, which are then rendered in
+    ascending index order, children before their parents; `_render_ready`
+    skips those that have text already. `_sort_canonical` does not call
+    it for a generation of one theorem, which it leaves to be rendered
+    when it is first shown.
     """
     texts = store._texts
-    kinds, lefts, rights = store._kinds, store._lefts, store._rights
-    texts.extend([None] * (len(kinds) - len(texts)))
-    stack = _render_ready(indices, store)
-    # A node with text has texts for all its subformulas, so the walk
-    # stops there.
-    missing: set[int] = set()
-    while stack:
-        i = stack.pop()
-        if texts[i] is not None or i in missing:
-            continue
-        missing.add(i)
-        kind = kinds[i]
-        if kind == NOT:
-            stack.append(lefts[i])
-        elif kind != ATOM:
-            stack += (lefts[i], rights[i])
-    _render_ready(sorted(missing), store)
+    texts.extend([None] * (len(store._kinds) - len(texts)))
+    waiting = _render_ready(indices, store)
+    _render_ready(sorted(_closure(waiting, store)), store)
     return texts
 
 
@@ -579,12 +567,7 @@ def render(f: FormulaId, store: FormulaStore) -> str:
     Caches the text of f and of its subformulas in the store, so each node
     only joins the cached texts of its children, which precede it.
     """
-    # `f in store`, spelled inline without a call: the gap report renders
-    # each witness, so this is the one entry called per witness.
-    i, tag = f
-    assert tag == store._tag and type(i) is int and 0 <= i < len(store._kinds), (
-        "FormulaId is not an id of this store"
-    )
+    i = store._index(f)
     if i < len(store._texts) and (text := store._texts[i]) is not None:
         return text
     return _fill_texts((i,), store)[i]

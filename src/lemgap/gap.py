@@ -249,10 +249,9 @@ def demo_family(n: int) -> AxiomaticSystem:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _run_document(result: EnumerationResult, store: FormulaStore) -> dict:
-    assert result._store is store, "EnumerationResult belongs to a different store"
+def _run_document(result: EnumerationResult) -> dict:
     return {
-        "theorems": _texts_of(result._indices, store),
+        "theorems": _texts_of(result._indices, result._store),
         "stats": asdict(result.stats),
     }
 
@@ -261,7 +260,7 @@ def report_document(report: GapReport) -> dict:
     """JSON-ready report with a fixed field order (byte-deterministic)."""
     store = report.system.store
     return {
-        "base": _run_document(report.enumerated, store),
+        "base": _run_document(report.enumerated),
         "lbi_accepted": [
             {
                 "conclusion": render(w.conclusion, store),
@@ -291,7 +290,7 @@ def report_document(report: GapReport) -> dict:
             if report.closure is None
             else {
                 "rule": report.closure_rule.value,
-                **_run_document(report.closure, store),
+                **_run_document(report.closure),
             }
         ),
         "gap_closed": report.gap_closed,

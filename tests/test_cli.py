@@ -713,14 +713,14 @@ def test_enumerate_builds_no_id_per_theorem(capsys, tmp_path, monkeypatch, fmt):
 
 # --- malformed system documents ----------------------------------------------------
 
-_SCALARS = (
+_DOC_SCALARS = (
     st.none() | st.booleans() | st.floats() | st.text(max_size=8)
     | st.integers(-(10**40), 10**40)
     # 4,001 digits: under the int-string limit of json.dumps, unlike 5,000.
     | st.sampled_from([1, -1]).map(lambda sign: sign * 10**4000)
 )
 _JSON = st.recursive(
-    _SCALARS,
+    _DOC_SCALARS,
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=12,
@@ -770,7 +770,7 @@ _BOUNDS = _mostly(
             "max_theorems": _mostly(st.integers(1, 60), _JUNK_BOUND),
         }
     ),
-    _SCALARS | st.lists(_JSON, max_size=3),
+    _DOC_SCALARS | st.lists(_JSON, max_size=3),
 )
 
 

@@ -28,7 +28,7 @@ from lemgap.engine import (
     saturate,
     system_document,
 )
-from lemgap.formula import FormulaStore, parse, render, size
+from lemgap.formula import FormulaId, FormulaStore, parse, render, size
 from lemgap.gap import gap_report
 from lemgap.oracle import entails
 
@@ -822,6 +822,21 @@ def test_index_of_an_id_from_another_store_is_none():
     # Index 0 is `p` in both stores, so only the store tells them apart.
     assert parse("p", other).index == result.index_of(parse("p", system.store)) == 0
     assert result.index_of(parse("p", other)) is None
+
+
+@pytest.mark.parametrize("index", [True, 1.0], ids=["bool", "float"])
+def test_index_of_a_forged_id_is_none(index):
+    # Store index 1 is the theorem `q`, and True == 1.0 == 1, but neither is
+    # an `int` index, so neither id is the store's.
+    system = mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q"))
+    result = saturate(system)
+    tag = system.store._tag
+    assert render(FormulaId(1, tag), system.store) == "q"
+    assert result.index_of(FormulaId(1, tag)) is not None
+    forged = FormulaId(index, tag)
+    assert result.index_of(forged) is None
+    with pytest.raises(NotDerived):
+        extract_proof(result, forged)
 
 
 def test_extract_proof_chain_steps_before_and_after_reading_the_run_steps():

@@ -308,17 +308,31 @@ _ID_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize(
-    "index", [-1, None, 1.0, True], ids=["index-minus-1", "index-len", "index-float", "index-bool"]
-)
+class _IntTag(int):
+    pass
+
+
+# Ids that are not the store's, each with the store's tag or one equal to it.
+_FORGED = {
+    "index-minus-1": lambda store: FormulaId(-1, store._tag),
+    "index-len": lambda store: FormulaId(len(store), store._tag),
+    "index-float": lambda store: FormulaId(1.0, store._tag),
+    "index-bool": lambda store: FormulaId(True, store._tag),
+    "tag-float": lambda store: FormulaId(1, float(store._tag)),
+    "tag-int-subclass": lambda store: FormulaId(1, _IntTag(store._tag)),
+}
+
+
+@pytest.mark.parametrize("forge", list(_FORGED))
 @pytest.mark.parametrize("entry", list(_ID_ENTRIES))
-def test_out_of_range_id_rejected(entry, index):
+def test_out_of_range_id_rejected(entry, forge):
     # An id with the store's tag but an index outside the store, or not an
     # `int`, is not the store's: -1 would otherwise read the last node,
     # `(p | ~p) -> q`, True would render `~p`, and 1.0 fail to index a list.
+    # Nor is an id whose tag equals the store's but is not an `int`.
     store = FormulaStore()
     parse("(p | ~p) -> q", store)
-    forged = FormulaId(len(store) if index is None else index, store._tag)
+    forged = _FORGED[forge](store)
     with pytest.raises(AssertionError):
         _ID_ENTRIES[entry](forged, store)
     assert forged not in store
