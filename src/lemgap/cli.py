@@ -17,7 +17,6 @@ import ctypes
 import functools
 import json
 import sys
-from dataclasses import asdict, replace
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from .engine import (
@@ -215,7 +214,7 @@ def _load(args) -> AxiomaticSystem:
     # The bound overrides given, under their `Bounds` field names.
     overrides = {name: value for name, value in vars(args).items() if name in _BOUNDS_KEYS}
     if overrides:
-        system = replace(system, bounds=replace(system.bounds, **overrides))
+        system = system._replace(bounds=system.bounds._replace(**overrides))
     return system
 
 
@@ -312,7 +311,7 @@ def cmd_enumerate(args) -> int:
     texts = _texts_of(result._indices, system.store)
     rows = _rows(texts, map(_unpack, result._packed), result.generations)
     if args.format == "machine":
-        _emit({"theorems": rows, "stats": asdict(result.stats)})
+        _emit({"theorems": rows, "stats": result.stats._asdict()})
     else:
         _print_rows(rows)
         print(_stats_lines(result))

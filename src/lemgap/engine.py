@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -114,8 +113,56 @@ class NotDerived(Exception):
     """The goal is absent from the enumeration (says nothing semantic)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Bounds:
+class _Record:
+    """An immutable record of the attributes named by `_fields`, with the
+    NamedTuple interface: `_fields`, `_asdict` and `_replace`. It equals
+    only a record of its own class, and compares and hashes by `_key()`,
+    its field values unless a subclass says otherwise.
+
+    A subclass's `__init__` checks its arguments, then stores them with
+    `_set`. `_replace` calls the constructor, so a replaced record is
+    checked too, where a NamedTuple's `_replace` would skip its class."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    _key = _values
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def _replace(self, **changes: object):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class Bounds(_Record):
     """Saturation bounds, each a positive `int` (not a `bool`).
 
     The one place bounds are checked, for a system document, a CLI
@@ -123,52 +170,55 @@ class Bounds:
     checked before any field's sign, so the first field in this order that
     is not an integer is named before any that is not positive."""
 
-    max_formula_size: int = 12
-    max_generations: int = 50
-    max_theorems: int = 100_000
+    __slots__ = _fields = ("max_formula_size", "max_generations", "max_theorems")
 
-    def __post_init__(self) -> None:
-        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
-        for name, value in values:
+    def __init__(
+        self, max_formula_size: int = 12, max_generations: int = 50, max_theorems: int = 100_000
+    ) -> None:
+        values = (max_formula_size, max_generations, max_theorems)
+        for name, value in zip(self._fields, values):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"bounds.{name}", "must be an integer")
-        for name, value in values:
+        for name, value in zip(self._fields, values):
             if value < 1:
                 raise ConfigError(f"bounds.{name}", "must be a positive integer")
+        self._set(*values)
 
 
-@dataclass(frozen=True)
-class AxiomaticSystem:
+class AxiomaticSystem(_Record):
     """Concrete axioms + enabled rules + bounds, tied to one FormulaStore.
 
     The side-formula universe (what OR_INTRO and LEM_AXIOM range over) is
     the subformula closure of the axioms and any declared side formulas.
     """
 
-    store: FormulaStore
-    atoms: tuple[str, ...]
-    axioms: tuple[FormulaId, ...]
-    rules: frozenset[RuleKind]
-    side_formulas: tuple[FormulaId, ...] = ()
-    bounds: Bounds = field(default_factory=Bounds)
+    __slots__ = _fields = ("store", "atoms", "axioms", "rules", "side_formulas", "bounds")
 
-    def __post_init__(self) -> None:
-        declared = set(self.atoms)
-        for i, name in enumerate(self.atoms):
+    def __init__(
+        self,
+        store: FormulaStore,
+        atoms: tuple[str, ...],
+        axioms: tuple[FormulaId, ...],
+        rules: frozenset[RuleKind],
+        side_formulas: tuple[FormulaId, ...] = (),
+        bounds: Bounds = Bounds(),
+    ) -> None:
+        declared = set(atoms)
+        for i, name in enumerate(atoms):
             if not ATOM_NAME.match(name):
                 raise ConfigError(f"atoms[{i}]", f"invalid atom name {name!r}")
-        if len(declared) != len(self.atoms):
+        if len(declared) != len(atoms):
             raise ConfigError("atoms", "duplicate atom names")
         # One closure over every formula finds whether any atom is
         # undeclared; only then is each formula scanned, so that the error
         # names the first one that uses such an atom. `_indices` checks
         # every id, so each size is read off the store's column.
-        store, limit = self.store, self.bounds.max_formula_size
-        used = _atom_names(_indices((*self.axioms, *self.side_formulas), store), store)
+        limit = bounds.max_formula_size
+        used = _atom_names(_indices((*axioms, *side_formulas), store), store)
         undeclared = used - declared
         for field_name, formulas, too_large in (
-            ("axioms", self.axioms, AxiomTooLarge),
-            ("side_formulas", self.side_formulas, ConfigError),
+            ("axioms", axioms, AxiomTooLarge),
+            ("side_formulas", side_formulas, ConfigError),
         ):
             for i, f in enumerate(formulas):
                 for name in atoms_of(f, store) if undeclared else ():
@@ -178,6 +228,7 @@ class AxiomaticSystem:
                     raise too_large(
                         f"{field_name}[{i}]", f"size {n} exceeds max_formula_size {limit}"
                     )
+        self._set(store, atoms, axioms, rules, side_formulas, bounds)
 
     def universe(self) -> tuple[FormulaId, ...]:
         """Side-formula universe: the subformula closure of the axioms and
@@ -188,7 +239,7 @@ class AxiomaticSystem:
         return tuple(store._ids(closure))
 
     def with_rules(self, rules: Iterable[RuleKind]) -> AxiomaticSystem:
-        return replace(self, rules=frozenset(rules))
+        return self._replace(rules=frozenset(rules))
 
 
 # The name a step's rule is shown by, `AXIOM` for an axiom (None), looked
@@ -242,8 +293,7 @@ class ProofStep(NamedTuple):
         return _rule_name(self.rule)
 
 
-@dataclass(frozen=True, slots=True)
-class Stats:
+class Stats(NamedTuple):
     """Saturation counters. `rule_applications` counts premise tuples that
     matched a rule's pattern (plus one per enabled zero-premise schema);
     `dedup_hits` counts in-bound conclusions that were already known.
@@ -260,8 +310,7 @@ class Stats:
     dedup_hits: int
 
 
-@dataclass(frozen=True, eq=False)
-class EnumerationResult:
+class EnumerationResult(_Record):
     """Discovery-ordered theorem list with aligned proof steps and
     generation numbers. `stop_reason` is `fixed_point`, `max_generations`
     or `max_theorems`.
@@ -272,15 +321,23 @@ class EnumerationResult:
     `theorems` and `steps` are views of it, built on first read, so
     `gap_report`, `extract_proof` and the `enumerate` command, which read
     the table, build no id or proof step per theorem. Results compare by
-    theorems, steps, generations and stats.
+    the table itself, with the store's tag when there are theorems, and by
+    generations and stats, so comparing builds neither view.
     """
 
-    generations: tuple[int, ...]
-    stats: Stats
-    stop_reason: str
-    _store: FormulaStore = field(repr=False)
-    _indices: Sequence[int] = field(repr=False)
-    _packed: Sequence[int] = field(repr=False)
+    # No __slots__: the views are cached in the instance's __dict__.
+    _fields = ("generations", "stats", "stop_reason", "_store", "_indices", "_packed")
+
+    def __init__(
+        self,
+        generations: tuple[int, ...],
+        stats: Stats,
+        stop_reason: str,
+        _store: FormulaStore,
+        _indices: Sequence[int],
+        _packed: Sequence[int],
+    ) -> None:
+        self._set(generations, stats, stop_reason, _store, _indices, _packed)
 
     @cached_property
     def theorems(self) -> tuple[FormulaId, ...]:
@@ -293,13 +350,8 @@ class EnumerationResult:
         )
 
     def _key(self) -> tuple:
-        return self.theorems, self.steps, self.generations, self.stats
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EnumerationResult) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        tag = self._store._tag if self._indices else None
+        return tag, tuple(self._indices), tuple(self._packed), self.generations, self.stats
 
     def index_of(self, f: FormulaId) -> Optional[int]:
         if f not in self._store:
@@ -319,7 +371,7 @@ _DOCUMENT_KEYS = {"atoms", "axioms", "rules", "side_formulas", "bounds"}
 # argument. Rendering caches the text of every subformula, so memory grows
 # with size times depth; this bounds it.
 MAX_FORMULA_BYTES = 16_384
-_BOUNDS_KEYS = tuple(f.name for f in fields(Bounds))
+_BOUNDS_KEYS = Bounds._fields
 
 
 def _formula_too_long(text: str) -> bool:
@@ -412,7 +464,7 @@ def system_document(system: AxiomaticSystem) -> dict:
         "axioms": [render(f, system.store) for f in system.axioms],
         "rules": [r.value for r in RuleKind if r in system.rules],
         "side_formulas": [render(f, system.store) for f in system.side_formulas],
-        "bounds": asdict(system.bounds),
+        "bounds": system.bounds._asdict(),
     }
 
 
@@ -836,8 +888,7 @@ def extract_proof(result: EnumerationResult, goal: FormulaId) -> tuple[ProofStep
     )))
 
 
-@dataclass(frozen=True, slots=True)
-class InvalidStep:
+class InvalidStep(NamedTuple):
     index: int
     reason: str
 

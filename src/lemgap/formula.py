@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -50,32 +49,49 @@ class FormulaId(NamedTuple):
     store_tag: int
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+# The node classes are NamedTuples that equal, and hash like, only a node
+# of their own class: as plain tuples `And(a, b)`, `Or(a, b)` and `(a, b)`
+# would all be equal.
+
+
+def _node_eq(self, other: object) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _node_ne(self, other: object) -> bool:
+    return not _node_eq(self, other)
+
+
+def _node_hash(self) -> int:
+    return hash((type(self), tuple.__hash__(self)))
+
+
+class Atom(NamedTuple):
     name: str
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+class Not(NamedTuple):
     child: FormulaId
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+class And(NamedTuple):
     left: FormulaId
     right: FormulaId
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+class Or(NamedTuple):
     left: FormulaId
     right: FormulaId
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
-@dataclass(frozen=True, slots=True)
-class Implies:
+class Implies(NamedTuple):
     antecedent: FormulaId
     consequent: FormulaId
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, _node_hash
 
 
 Formula = Atom | Not | And | Or | Implies

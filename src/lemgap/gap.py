@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import (
     AxiomaticSystem,
@@ -57,8 +56,7 @@ class WitnessMode(enum.Enum):
     TWO_BRANCH = "TWO_BRANCH"    # x -> y and ~x -> y are both theorems
 
 
-@dataclass(frozen=True, slots=True)
-class LbiWitness:
+class LbiWitness(NamedTuple):
     """Why a conclusion is accepted: the pivot and the theorems used."""
 
     conclusion: FormulaId
@@ -67,8 +65,7 @@ class LbiWitness:
     source_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class GapVerification:
+class GapVerification(NamedTuple):
     """Oracle-computed facts about one gap member (never hardcoded)."""
 
     oracle_entailed: bool
@@ -76,15 +73,13 @@ class GapVerification:
     pivot_absent_syntactically: bool
 
 
-@dataclass(frozen=True, slots=True)
-class GapMember:
+class GapMember(NamedTuple):
     conclusion: FormulaId
     witnesses: tuple[LbiWitness, ...]
     verification: GapVerification
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     system: AxiomaticSystem
     enumerated: EnumerationResult
     lbi_accepted: tuple[LbiWitness, ...]
@@ -252,7 +247,7 @@ def demo_family(n: int) -> AxiomaticSystem:
 def _run_document(result: EnumerationResult) -> dict:
     return {
         "theorems": _texts_of(result._indices, result._store),
-        "stats": asdict(result.stats),
+        "stats": result.stats._asdict(),
     }
 
 

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -144,7 +143,7 @@ def test_system_document_of_every_accepted_bounds_loads_back():
                 bounds = Bounds(**{name: value})
             except ConfigError:
                 continue
-            doc = system_document(replace(system, bounds=bounds))
+            doc = system_document(system._replace(bounds=bounds))
             assert load_system(json.dumps(doc)).bounds == bounds
 
 
@@ -415,10 +414,8 @@ def test_saturate_fixed_point_stable_under_doubled_generations():
         system = random_system(rng)
         result = saturate(system)
         assert result.stats.fixed_point_reached is True
-        doubled = replace(
-            system,
-            bounds=replace(
-                system.bounds,
+        doubled = system._replace(
+            bounds=system.bounds._replace(
                 max_generations=system.bounds.max_generations * 2,
             ),
         )
@@ -778,7 +775,7 @@ def test_check_proof_rejects_forged_ranging_steps_without_interning():
     system = mk_system(
         ["p", "q -> r"], [RuleKind.OR_INTRO, RuleKind.LEM_AXIOM], atoms=("p", "q", "r")
     )
-    system = replace(system, side_formulas=(parse("r | ~r", system.store),))
+    system = system._replace(side_formulas=(parse("r | ~r", system.store),))
     store = system.store
     p, axiom, lem = (parse(t, store) for t in ("p", "q -> r", "r | ~r"))
     disjunction = store.disj(p, axiom)
@@ -887,12 +884,28 @@ def test_results_compare_by_value_and_are_read_only():
     assert first == second and hash(first) == hash(second)
     # Ids of another store never equal this store's, so neither do the runs.
     assert first != saturate(mk_system(["p", "p -> q", "q -> r"], [RuleKind.MP], atoms="pqr"))
-    assert first != saturate(replace(system, bounds=Bounds(max_generations=1)))
+    assert first != saturate(system._replace(bounds=Bounds(max_generations=1)))
     with pytest.raises(AttributeError):
         first.theorems = ()
     with pytest.raises(AttributeError):
         first.steps = ()
     assert [render(f, system.store) for f in first.theorems] == ["p", "p -> q", "q -> r", "q", "r"]
+
+
+def test_results_compare_by_their_columns_without_building_views():
+    system = mk_system(["p", "p -> q", "q -> r"], [RuleKind.MP], atoms=("p", "q", "r"))
+    first, second = saturate(system), saturate(system)
+    assert first == second and hash(first) == hash(second)
+    for run in (first, second):
+        assert "theorems" not in vars(run) and "steps" not in vars(run)
+    # The same table in another store is another run; two empty runs are
+    # equal, whatever their stores.
+    assert first != saturate(mk_system(["p", "p -> q", "q -> r"], [RuleKind.MP], atoms="pqr"))
+    empty = [saturate(mk_system([], [RuleKind.MP], atoms="p")) for _ in range(2)]
+    assert empty[0]._store is not empty[1]._store
+    assert empty[0] == empty[1] and hash(empty[0]) == hash(empty[1])
+    assert first != first._replace(_packed=[0] * len(first._packed))
+    assert first != first._replace(generations=(0,) * len(first.generations))
 
 
 @pytest.mark.parametrize(

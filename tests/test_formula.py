@@ -381,6 +381,19 @@ def test_nodes_built_from_the_columns_match_their_text():
         assert render(g, other) == render(f, store)
 
 
+def test_nodes_equal_only_nodes_of_their_own_class():
+    store = FormulaStore()
+    p, q = store.atom("p"), store.atom("q")
+    both = And(p, q)
+    assert both == And(p, q) and hash(both) == hash(And(p, q))
+    assert store.node(store.conj(p, q)) == both
+    for other in (Or(p, q), Implies(p, q), (p, q)):
+        assert both != other and other != both and not both == other
+        assert hash(both) != hash(other)
+    assert Atom("p") != ("p",) and Not(p) != (p,) and hash(Not(p)) != hash((p,))
+    assert And.__match_args__ == ("left", "right")
+
+
 # --- structural queries ------------------------------------------------------
 
 def test_size_examples():

@@ -1,7 +1,17 @@
 from __future__ import annotations
 
+import copy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import lemgap
 from lemgap import engine, formula, gap, oracle
+from lemgap.engine import AxiomTooLarge, Bounds, ConfigError, InvalidStep, RuleKind, saturate
+from lemgap.formula import And, Atom, Implies, Not, Or
+from lemgap.gap import demo_system, gap_report
 
 _MODULES = (formula, oracle, engine, gap)
 
@@ -13,3 +23,69 @@ def test_package_exports_each_modules_public_names():
     for module in _MODULES:
         for name in module.__all__:
             assert getattr(lemgap, name) is getattr(module, name)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # A fresh, isolated interpreter (`-I` ignores PYTHONPATH, `-S` skips
+    # site), pointed at this checkout's sources: importing `dataclasses`
+    # pulls in `inspect`, `ast`, `dis` and `tokenize`, most of the import.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import lemgap.cli; "
+        "print(sorted({'dataclasses', 'inspect'}.intersection(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
+
+
+def _records():
+    """One instance of each of the package's 14 records."""
+    report = gap_report(demo_system("EQ1"), close_with=RuleKind.LBI_RULE)
+    store = report.system.store
+    p, q = store.atom("p"), store.atom("q")
+    member = report.gap[0]
+    return [
+        Atom("p"), Not(p), And(p, q), Or(p, q), Implies(p, q),
+        report.system.bounds, report.system, report.enumerated.stats, report.enumerated,
+        InvalidStep(0, "reason"),
+        member.witnesses[0], member.verification, member, report,
+    ]
+
+
+def test_records_are_immutable_and_name_their_fields():
+    records = _records()
+    assert len({type(record) for record in records}) == 14
+    for record in records:
+        name = type(record)._fields[0]
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, name) is value
+        assert record._replace() == record and hash(record._replace()) == hash(record)
+        assert copy.copy(record) == record
+        assert list(record._asdict()) == list(type(record)._fields)
+
+
+def test_validating_records_check_every_construction_replace_included():
+    with pytest.raises(ConfigError, match="bounds.max_formula_size: must be a positive integer"):
+        Bounds()._replace(max_formula_size=0)
+    with pytest.raises(ConfigError, match="bounds.max_theorems: must be an integer"):
+        Bounds(max_theorems=2.5)
+    system = demo_system("EQ1")
+    with pytest.raises(AxiomTooLarge, match="axioms.0.: size 6 exceeds max_formula_size 3"):
+        system._replace(bounds=Bounds(max_formula_size=3))
+    assert system.with_rules({RuleKind.MP}) == system
+
+
+def test_stats_keep_their_field_order():
+    stats = saturate(demo_system("EQ1")).stats
+    assert list(stats._asdict()) == [
+        "generations_run", "fixed_point_reached", "rule_applications", "dedup_hits"
+    ]
+    assert list(Bounds()._asdict()) == ["max_formula_size", "max_generations", "max_theorems"]
