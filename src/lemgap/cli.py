@@ -20,9 +20,9 @@ import sys
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from .engine import (
-    _BOUNDS_KEYS,
     MAX_FORMULA_BYTES,
     AxiomaticSystem,
+    Bounds,
     ConfigError,
     EnumerationResult,
     NotDerived,
@@ -212,7 +212,7 @@ def _load(args) -> AxiomaticSystem:
         raise ConfigError("document", f"system file is not valid UTF-8: {exc}") from None
     system = load_system(text)
     # The bound overrides given, under their `Bounds` field names.
-    overrides = {name: value for name, value in vars(args).items() if name in _BOUNDS_KEYS}
+    overrides = {name: value for name, value in vars(args).items() if name in Bounds._fields}
     if overrides:
         system = system._replace(bounds=system.bounds._replace(**overrides))
     return system
@@ -398,6 +398,10 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+# Built on the first call, not at import, then reused: a parser is a web of
+# reference cycles, so one per call would leave ~230 objects each time for
+# the cyclic collector.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lemgap", description=__doc__)
     # Each command takes only the options it reads: `parse` and `demo`
@@ -450,14 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first call, not at import, then reused: a parser is a
-    # web of reference cycles, so one per call leaves ~230 objects each
-    # time for the cyclic collector.
-    return build_parser()
-
-
 # glibc's malloc maps a block of at least its mmap threshold on its own and
 # unmaps it when freed. By default the threshold rises to the size of each
 # mapped block freed, so after one run (a gap report's output alone is
@@ -487,7 +483,7 @@ def _pin_malloc_thresholds() -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _pin_malloc_thresholds()
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, ConfigError, PreconditionViolated, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ from .formula import (
     _atom_names,
     _case_splits,
     _closure,
+    _id_index,
     _indices,
     _kinds_of,
     _lbi_shapes,
@@ -190,6 +191,10 @@ class AxiomaticSystem(_Record):
 
     The side-formula universe (what OR_INTRO and LEM_AXIOM range over) is
     the subformula closure of the axioms and any declared side formulas.
+    Construction checks every field: `rules` must be a frozenset of
+    `RuleKind` members, `bounds` a `Bounds`, and each axiom and side
+    formula an id of `store`. The formulas are kept as tuples, so the
+    package reads their indices later without checking them again.
     """
 
     __slots__ = _fields = ("store", "atoms", "axioms", "rules", "side_formulas", "bounds")
@@ -203,6 +208,11 @@ class AxiomaticSystem(_Record):
         side_formulas: tuple[FormulaId, ...] = (),
         bounds: Bounds = Bounds(),
     ) -> None:
+        if not isinstance(rules, frozenset) or not {RuleKind}.issuperset(map(type, rules)):
+            raise ConfigError("rules", "must be a frozenset of RuleKind members")
+        if not isinstance(bounds, Bounds):
+            raise ConfigError("bounds", "must be a Bounds")
+        axioms, side_formulas = tuple(axioms), tuple(side_formulas)
         declared = set(atoms)
         for i, name in enumerate(atoms):
             if not ATOM_NAME.match(name):
@@ -234,7 +244,8 @@ class AxiomaticSystem(_Record):
         """Side-formula universe: the subformula closure of the axioms and
         side formulas, in canonical (size, text) order."""
         store = self.store
-        closure = list(_closure(_indices((*self.axioms, *self.side_formulas), store), store))
+        # The formulas were checked when the system was built.
+        closure = list(_closure(map(_id_index, (*self.axioms, *self.side_formulas)), store))
         _sort_canonical(closure, store)
         return tuple(store._ids(closure))
 
@@ -366,12 +377,11 @@ class EnumerationResult(_Record):
 # System documents (JSON)
 # ---------------------------------------------------------------------------
 
-_DOCUMENT_KEYS = {"atoms", "axioms", "rules", "side_formulas", "bounds"}
+_DOCUMENT_KEYS = frozenset(AxiomaticSystem._fields) - {"store"}
 # Longest formula text, in UTF-8 bytes, in a system document or a CLI
 # argument. Rendering caches the text of every subformula, so memory grows
 # with size times depth; this bounds it.
 MAX_FORMULA_BYTES = 16_384
-_BOUNDS_KEYS = Bounds._fields
 
 
 def _formula_too_long(text: str) -> bool:
@@ -433,7 +443,7 @@ def load_system(text: str) -> AxiomaticSystem:
     if not isinstance(bounds_doc, dict):
         raise ConfigError("bounds", "must be an object")
     for key in bounds_doc:
-        if key not in _BOUNDS_KEYS:
+        if key not in Bounds._fields:
             raise ConfigError(f"bounds.{key}", "unknown key")
     bounds = Bounds(**bounds_doc)
 
@@ -447,14 +457,7 @@ def load_system(text: str) -> AxiomaticSystem:
             raise ConfigError("atoms", "must be a list of atom names")
         atoms = tuple(atoms_doc)
 
-    return AxiomaticSystem(
-        store=store,
-        atoms=atoms,
-        axioms=axioms,
-        rules=frozenset(rules),
-        side_formulas=side,
-        bounds=bounds,
-    )
+    return AxiomaticSystem(store, atoms, axioms, frozenset(rules), side, bounds)
 
 
 def system_document(system: AxiomaticSystem) -> dict:
@@ -898,14 +901,19 @@ def check_proof(
 ) -> Optional[InvalidStep]:
     """Replay a proof DAG against the system; None means valid.
 
-    Axiom steps must conclude an axiom; LEM_AXIOM steps must be enabled
-    and conclude a schema instance over the universe; every other step's
-    conclusion must be one `_conclusions` gives on its premises, the
-    definition `apply_rule` reads too. The conclusions are checked to be
-    the system store's once, up front; then each step is replayed on
-    store indices, so no id, node or set is built per step. A rule's
-    candidate conclusions are looked up, not interned: a step's
-    conclusion is already in the store, so the replay adds nothing to it.
+    A step's rule must be None (an axiom) or a `RuleKind`, and its
+    premises a tuple of `int`s (not `bool`s), each an earlier step's
+    position; a step whose rule or premises are not is answered with an
+    `InvalidStep`. Axiom steps must conclude an axiom; LEM_AXIOM steps
+    must be enabled and conclude a schema instance over the universe;
+    every other step's conclusion must be one `_conclusions` gives on its
+    premises, the definition `apply_rule` reads too. The conclusions are checked to be
+    the system store's once, up front; the system's axioms and universe
+    were checked when it was built, so their indices are read. Then each
+    step is replayed on store indices, so no id, node or set is built per
+    step. A rule's candidate conclusions are looked up, not interned: a
+    step's conclusion is already in the store, so the replay adds nothing
+    to it.
     """
     store, enabled, lookup = system.store, system.rules, system.store._lookup
     # Read once: up to Python 3.11 `EnumType` defines `__getattr__`, which
@@ -913,13 +921,19 @@ def check_proof(
     lem_axiom = RuleKind.LEM_AXIOM
     conclusions = _indices([conclusion for conclusion, _, _ in steps], store)
     premise_index = conclusions.__getitem__
-    axioms = set(_indices(system.axioms, store))
-    # Only OR_INTRO and LEM_AXIOM steps range over the universe.
-    ranging = not {RuleKind.OR_INTRO, RuleKind.LEM_AXIOM}.isdisjoint(rule for _, rule, _ in steps)
-    universe = _indices(system.universe(), store) if ranging else []
+    axioms = set(map(_id_index, system.axioms))
+    # Only OR_INTRO and LEM_AXIOM steps range over the universe, and only
+    # when the system enables them.
+    ranging = not enabled.isdisjoint({RuleKind.OR_INTRO, RuleKind.LEM_AXIOM})
+    universe = list(map(_id_index, system.universe())) if ranging else []
     lem_instances: Optional[set[int]] = None
+    not_ints = "premises are not a tuple of ints"
     for i, ((_, rule, premises), conclusion) in enumerate(zip(steps, conclusions)):
+        if type(premises) is not tuple:
+            return InvalidStep(i, not_ints)
         for p in premises:
+            if type(p) is not int:
+                return InvalidStep(i, not_ints)
             if not 0 <= p < i:
                 return InvalidStep(i, f"premise {p} does not precede the step")
         if rule is None:
@@ -928,6 +942,8 @@ def check_proof(
             if conclusion not in axioms:
                 return InvalidStep(i, "conclusion is not an axiom")
             continue
+        if type(rule) is not RuleKind:
+            return InvalidStep(i, "rule is neither None nor a RuleKind")
         if rule not in enabled:
             return InvalidStep(i, f"rule {rule.value} is not enabled")
         if rule is lem_axiom:

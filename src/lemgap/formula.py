@@ -35,7 +35,8 @@ __all__ = [
 ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 _store_tags = itertools.count(1)
-_id_index, _id_tag = attrgetter("index"), attrgetter("store_tag")
+_id_index = attrgetter("index")
+_NOT_AN_ID = "FormulaId is not an id of this store"
 
 
 class FormulaId(NamedTuple):
@@ -126,13 +127,17 @@ class FormulaStore:
     text cache; the oracle also keeps a table per store (see
     `lemgap.oracle`). Queries such as `lbi_accepted`, `independent` and
     `check_proof` look nodes up without interning. It is not thread-safe.
-    Every public entry that takes an id asserts that it is this store's,
-    by the one predicate `f in store` (an `int` tag equal to the store's,
-    and an `int` index in `range(len(store))`), through `_index` for one
-    id or `_indices` for many. Inside the package, saturation, the oracle
-    and gap reports read the columns and intern over plain indices; an id
-    from outside is checked once, where it enters, and a `FormulaId` is
-    built only for what is handed back.
+    `f in store` is the one id predicate: `f` is a `FormulaId` (not a
+    plain tuple) whose tag is an `int` equal to the store's and whose
+    index is an `int` in `range(len(store))`. Every public entry that
+    takes an id checks it by that predicate, through `_index` for one id
+    or `_indices` for many, and raises `AssertionError` when it fails;
+    the raise is explicit, so `python -O` keeps it. Inside the package,
+    saturation, the oracle and gap reports read the columns and intern
+    over plain indices; an id from outside is checked once, where it
+    enters, and ids the package built or a system checked when it was
+    built are read, not checked again. A `FormulaId` is built only for
+    what is handed back.
     """
 
     def __init__(self) -> None:
@@ -148,9 +153,9 @@ class FormulaStore:
     def __len__(self) -> int:
         return len(self._kinds)
 
-    def __contains__(self, f: FormulaId) -> bool:
-        i, tag = f
-        return type(tag) is int and tag == self._tag and type(i) is int and 0 <= i < len(self._kinds)
+    def __contains__(self, f: object) -> bool:
+        return type(f) is FormulaId and type(f.store_tag) is int and type(f.index) is int and (
+            f.store_tag == self._tag and 0 <= f.index < len(self._kinds))
 
     def node(self, f: FormulaId) -> Formula:
         """The node of `f`, built from the columns."""
@@ -215,9 +220,10 @@ class FormulaStore:
         return self._neg(left) if kind == NOT else self._intern_binary(kind, left, right)
 
     def _index(self, f: FormulaId) -> int:
-        """The index of `f`, asserted to be an id of this store."""
-        assert f in self, "FormulaId is not an id of this store"
-        return f.index
+        """The index of `f`; AssertionError unless `f in self`."""
+        if f in self:
+            return f.index
+        raise AssertionError(_NOT_AN_ID)
 
     def atom(self, name: str) -> FormulaId:
         if not ATOM_NAME.match(name):
@@ -241,18 +247,12 @@ class FormulaStore:
 
 
 def _indices(fs: Iterable[FormulaId], store: FormulaStore) -> list[int]:
-    """The store indices of `fs`, each asserted to be an id of `store`:
-    the predicate of `FormulaStore.__contains__`, tested in bulk, in C."""
+    """The store indices of `fs`; AssertionError unless each is in
+    `store`, by `FormulaStore.__contains__`."""
     ids = list(fs)
-    indices = list(map(_id_index, ids))
-    tags = list(map(_id_tag, ids))
-    assert (
-        {int}.issuperset(map(type, itertools.chain(tags, indices)))
-        and tags.count(store._tag) == len(tags)
-        and 0 <= min(indices, default=0)
-        and max(indices, default=-1) < len(store)
-    ), "FormulaId is not an id of this store"
-    return indices
+    if all(map(store.__contains__, ids)):
+        return list(map(_id_index, ids))
+    raise AssertionError(_NOT_AN_ID)
 
 
 def size(f: FormulaId, store: FormulaStore) -> int:
@@ -287,7 +287,7 @@ def _atom_names(indices: Iterable[int], store: FormulaStore) -> set[str]:
 
 def atoms_of(f: FormulaId, store: FormulaStore) -> tuple[str, ...]:
     """Sorted distinct atom names occurring in f."""
-    return tuple(sorted(_atom_names(_indices((f,), store), store)))
+    return tuple(sorted(_atom_names((store._index(f),), store)))
 
 
 def subformula_closure(fs: Iterable[FormulaId], store: FormulaStore) -> frozenset[FormulaId]:
@@ -366,7 +366,7 @@ def match_lbi_shape(f: FormulaId, store: FormulaStore) -> Optional[tuple[Formula
     negation, in either order. Deep equivalences (e.g. `~~x` vs `x`) do
     not match.
     """
-    fs = _indices((f,), store)
+    fs = [store._index(f)]
     implications = _positions(IMPLIES, _kinds_of(fs, store))
     for _, pivot, conclusion in _lbi_shapes(fs, implications, store):
         return store._id(pivot), store._id(conclusion)

@@ -99,9 +99,11 @@ def lbi_accepted(result: EnumerationResult, store: FormulaStore) -> tuple[LbiWit
     CASE_SPLIT runs, so the two cannot drift apart. Witnesses are
     deduplicated by (conclusion, pivot, mode), the first (lowest) source
     positions kept, and sorted by canonical text so the output does not
-    depend on discovery order. Interns nothing.
+    depend on discovery order. Interns nothing. Raises AssertionError when
+    `result` is not a run over `store`.
     """
-    assert result._store is store, "EnumerationResult belongs to a different store"
+    if result._store is not store:
+        raise AssertionError("EnumerationResult belongs to a different store")
     theorems = result._indices
     # Both patterns read implications only: their positions, walked once.
     positions = _positions(IMPLIES, _kinds_of(theorems, store))
@@ -272,11 +274,7 @@ def report_document(report: GapReport) -> dict:
                     {"pivot": render(w.pivot, store), "mode": w.mode.value}
                     for w in m.witnesses
                 ],
-                "verification": {
-                    "oracle_entailed": m.verification.oracle_entailed,
-                    "pivot_independent_semantically": m.verification.pivot_independent_semantically,
-                    "pivot_absent_syntactically": m.verification.pivot_absent_syntactically,
-                },
+                "verification": m.verification._asdict(),
             }
             for m in report.gap
         ],

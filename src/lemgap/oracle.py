@@ -243,7 +243,10 @@ def _query(axioms: tuple[FormulaId, ...], f: FormulaId, store: FormulaStore) -> 
 
     Each store keeps the table of the axioms it was last asked about, so
     a query within their atoms evaluates only f's subformulas. A query
-    with other atoms gets a one-off table over the combined set.
+    with other atoms gets a one-off table over the combined set. Building
+    a table checks its axioms. Axioms equal to a kept table's, but not
+    the same tuple, are checked before it is reused: a plain tuple or a
+    forged id can equal an id.
     """
     table = _tables.get(store)
     if table is None or table.axioms != axioms:
@@ -251,7 +254,9 @@ def _query(axioms: tuple[FormulaId, ...], f: FormulaId, store: FormulaStore) -> 
             table = _tables[store] = _truth_table(axioms, (), store)
         except TooManyAtoms:
             table = None  # the combined table below raises with the full count
-    if table is None or not table.atom_masks.keys() >= _atom_names(_indices((f,), store), store):
+    elif table.axioms is not axioms:
+        _indices(axioms, store)
+    if table is None or not table.atom_masks.keys() >= _atom_names((store._index(f),), store):
         table = _truth_table(axioms, (f,), store)
     return table, _mask(f, table, store)
 

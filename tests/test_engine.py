@@ -135,6 +135,36 @@ def test_load_system_bounds_validation():
         assert (err.value.field, err.value.reason) == (f"bounds.{name}", "must be an integer")
 
 
+def test_system_checks_its_rules_and_bounds():
+    # As `Bounds` checks its fields, a system checks that its rules are a
+    # frozenset of RuleKind members (a set would make it unhashable, and a
+    # rule name would enable nothing) and that its bounds are a `Bounds`.
+    system = load_system('{"axioms": ["p", "p -> q"]}')
+    for rules in (frozenset({"MP"}), {RuleKind.MP}, [RuleKind.MP], None):
+        with pytest.raises(ConfigError) as err:
+            system._replace(rules=rules)
+        assert (err.value.field, err.value.reason) == (
+            "rules", "must be a frozenset of RuleKind members"
+        )
+    for bounds in (None, {"max_formula_size": 12}, (12, 50, 100_000)):
+        with pytest.raises(ConfigError) as err:
+            system._replace(bounds=bounds)
+        assert (err.value.field, err.value.reason) == ("bounds", "must be a Bounds")
+    assert len(saturate(system._replace(rules=frozenset({RuleKind.MP}))).theorems) == 3
+
+
+def test_a_system_keeps_the_formulas_it_checked():
+    # The system reads its axioms' indices without checking them again, so
+    # it keeps them as a tuple: a list it was given can change later.
+    store = FormulaStore()
+    axioms = [parse("p", store)]
+    system = AxiomaticSystem(store, ("p",), axioms, frozenset({RuleKind.MP}))
+    axioms.append(parse("q & r", FormulaStore()))
+    assert system.axioms == (parse("p", store),)
+    assert theorem_texts(saturate(system), store) == ["p"]
+    assert system.universe() == (parse("p", store),)
+
+
 def test_system_document_of_every_accepted_bounds_loads_back():
     system = load_system('{"axioms": ["p"]}')
     for name in ("max_formula_size", "max_generations", "max_theorems"):
@@ -214,58 +244,6 @@ def test_system_document_round_trip():
 
 
 # --- apply_rule ---------------------------------------------------------------
-
-def test_apply_rule_mp():
-    store = FormulaStore()
-    p = parse("p", store)
-    imp = parse("p -> q", store)
-    q = parse("q", store)
-    assert apply_rule(RuleKind.MP, (p, imp), store) == {q}
-    assert apply_rule(RuleKind.MP, (q, imp), store) == frozenset()
-    assert apply_rule(RuleKind.MP, (p, q), store) == frozenset()
-
-
-def test_apply_rule_lbi():
-    store = FormulaStore()
-    f = parse("(p | ~p) -> q", store)
-    assert apply_rule(RuleKind.LBI_RULE, (f,), store) == {parse("q", store)}
-    assert apply_rule(RuleKind.LBI_RULE, (parse("p -> q", store),), store) == frozenset()
-
-
-def test_apply_rule_case_split():
-    store = FormulaStore()
-    pos = parse("p -> y", store)
-    neg = parse("~p -> y", store)
-    assert apply_rule(RuleKind.CASE_SPLIT, (pos, neg), store) == {parse("y", store)}
-    # Premises are ordered: the positive branch comes first.
-    assert apply_rule(RuleKind.CASE_SPLIT, (neg, pos), store) == frozenset()
-    other = parse("p -> z", store)
-    assert apply_rule(RuleKind.CASE_SPLIT, (other, neg), store) == frozenset()
-
-
-def test_apply_rule_and_intro_and_elims():
-    store = FormulaStore()
-    p, q = parse("p", store), parse("q", store)
-    both = parse("p & q", store)
-    assert apply_rule(RuleKind.AND_INTRO, (p, q), store) == {both}
-    assert apply_rule(RuleKind.AND_ELIM_L, (both,), store) == {p}
-    assert apply_rule(RuleKind.AND_ELIM_R, (both,), store) == {q}
-    assert apply_rule(RuleKind.AND_ELIM_L, (p,), store) == frozenset()
-
-
-def test_apply_rule_or_intro_ranges_over_universe():
-    store = FormulaStore()
-    p, q = parse("p", store), parse("q", store)
-    got = apply_rule(RuleKind.OR_INTRO, (p,), store, universe=(p, q))
-    assert got == {parse("p | p", store), parse("p | q", store), parse("q | p", store)}
-
-
-def test_apply_rule_lem_instances():
-    store = FormulaStore()
-    p, q = parse("p", store), parse("q", store)
-    got = apply_rule(RuleKind.LEM_AXIOM, (), store, universe=(p, q))
-    assert got == {parse("p | ~p", store), parse("q | ~q", store)}
-
 
 def test_apply_rule_arity_mismatch():
     store = FormulaStore()
@@ -659,12 +637,32 @@ def test_check_proof_rejects_misshapen_steps():
         assert check_proof([axiom, step], system) == InvalidStep(1, reason)
 
 
+def test_check_proof_answers_malformed_rules_and_premises():
+    # A rule must be None or a RuleKind, and premises a tuple of ints (a
+    # bool is not one): each step below is answered, none crashes or passes.
+    system = mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q"))
+    p, imp, q = (parse(t, system.store) for t in ("p", "p -> q", "q"))
+    axioms = [ProofStep(p, None, ()), ProofStep(imp, None, ())]
+    steps = [
+        (ProofStep(q, "MP", (0, 1)), "rule is neither None nor a RuleKind"),
+        (ProofStep(q, RuleKind.MP, (0, "1")), "premises are not a tuple of ints"),
+        (ProofStep(q, RuleKind.MP, (0, 1.0)), "premises are not a tuple of ints"),
+        (ProofStep(q, RuleKind.MP, 5), "premises are not a tuple of ints"),
+        (ProofStep(q, RuleKind.MP, (0, True)), "premises are not a tuple of ints"),
+    ]
+    for step, reason in steps:
+        assert check_proof([*axioms, step], system) == InvalidStep(2, reason)
+    assert check_proof([*axioms, ProofStep(q, RuleKind.MP, (0, 1))], system) is None
+
+
 # (rule, premises, universe, conclusions), as formula texts.
 _NO_MATCHER_CASES = [
     (RuleKind.MP, ["p", "p -> q"], [], ["q"]),
     (RuleKind.MP, ["q", "p -> q"], [], []),
+    (RuleKind.MP, ["p", "q"], [], []),
     (RuleKind.AND_INTRO, ["p", "q"], [], ["p & q"]),
     (RuleKind.AND_ELIM_L, ["p & q"], [], ["p"]),
+    (RuleKind.AND_ELIM_L, ["p"], [], []),
     (RuleKind.AND_ELIM_R, ["p & q"], [], ["q"]),
     (RuleKind.AND_ELIM_R, ["p | q"], [], []),
     (RuleKind.OR_INTRO, ["p"], ["p", "q"], ["p | p", "p | q", "q | p"]),
@@ -747,6 +745,29 @@ def test_check_proof_builds_no_id_on_an_mp_chain(monkeypatch):
     monkeypatch.setattr(FormulaStore, "_id", counted_id)
     assert check_proof(proof, system) is None
     assert calls == []
+
+
+def test_each_id_is_checked_once_from_loading_to_replay(monkeypatch):
+    # On an n-link MP chain, the ids `_indices` checks are the n + 1 axioms,
+    # once, when the system is built, and the 2n + 1 conclusions of the
+    # proof `check_proof` is given: 3n + 2. The universe and the axioms are
+    # read from the system, whose ids were checked when it was built.
+    checked = []
+    indices = formula._indices
+
+    def counted(fs, store):
+        ids = list(fs)
+        checked.append(len(ids))
+        return indices(ids, store)
+
+    for module in (formula, engine):
+        monkeypatch.setattr(module, "_indices", counted)
+    n = 50
+    axioms = ["a0"] + [f"a{i} -> a{i + 1}" for i in range(n)]
+    system = load_system(json.dumps({"axioms": axioms, "bounds": {"max_generations": n}}))
+    proof = extract_proof(saturate(system), parse(f"a{n}", system.store))
+    assert check_proof(proof, system) is None
+    assert sum(checked) == 3 * n + 2
 
 
 def test_check_proof_interns_nothing():

@@ -313,7 +313,9 @@ class _IntTag(int):
 
 
 # Ids that are not the store's, each with the store's tag or one equal to it.
+# A plain tuple equals the store's id for its index, but is not an id.
 _FORGED = {
+    "plain-tuple": lambda store: (1, store._tag),
     "index-minus-1": lambda store: FormulaId(-1, store._tag),
     "index-len": lambda store: FormulaId(len(store), store._tag),
     "index-float": lambda store: FormulaId(1.0, store._tag),
@@ -329,7 +331,8 @@ def test_out_of_range_id_rejected(entry, forge):
     # An id with the store's tag but an index outside the store, or not an
     # `int`, is not the store's: -1 would otherwise read the last node,
     # `(p | ~p) -> q`, True would render `~p`, and 1.0 fail to index a list.
-    # Nor is an id whose tag equals the store's but is not an `int`.
+    # Nor is an id whose tag equals the store's but is not an `int`, nor a
+    # plain `(index, tag)` tuple, whose `.index` would be `tuple.index`.
     store = FormulaStore()
     parse("(p | ~p) -> q", store)
     forged = _FORGED[forge](store)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lemgap import oracle
-from lemgap.formula import FormulaStore, atoms_of, parse
+from lemgap.formula import FormulaId, FormulaStore, atoms_of, parse
 from lemgap.gap import demo_family, gap_report
 from lemgap.oracle import (
     ATOM_LIMIT,
@@ -288,6 +288,21 @@ def test_axiom_tables_are_one_per_store_and_die_with_it():
     gc.collect()
     assert alive() is None
     assert len(oracle._tables) == before + 1
+
+
+def test_a_kept_axiom_table_is_not_reused_for_axioms_that_only_equal_its_ids():
+    # A plain `(index, tag)` tuple and `FormulaId(True, tag)` compare equal
+    # to the store's id for index 1, so they match the table the first
+    # query kept; they are still refused, as they are without a kept table.
+    store = FormulaStore()
+    p, q = parse("p", store), parse("q", store)
+    assert q.index == 1
+    for forged in ((1, store._tag), FormulaId(True, store._tag)):
+        assert (p, forged) == (p, q)
+        for query in (entails, independent):
+            assert query((p, q), p, store) == query([p, q], p, store)
+            with pytest.raises(AssertionError):
+                query((p, forged), p, store)
 
 
 def test_distinct_queries_keep_only_the_axiom_table():

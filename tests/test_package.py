@@ -40,6 +40,50 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert out.stdout == "[]\n"
 
 
+# Run under `python -O`, which strips `assert` statements: each forged id
+# must still be refused, by an explicit raise. Prints one line per call.
+_OPTIMIZED_ID_CHECKS = """
+from lemgap import *
+store = FormulaStore()
+f = parse("a & b", store)
+system = AxiomaticSystem(store, ("a", "b"), (f,), frozenset())
+forged = {
+    "foreign": parse("q & r", FormulaStore()),
+    "index-len": FormulaId(len(store), store._tag),
+    "plain-tuple": (1, store._tag),
+}
+entries = {
+    "render": lambda g: render(g, store),
+    "entails": lambda g: entails(system.axioms, g, store),
+    "AxiomaticSystem": lambda g: AxiomaticSystem(store, ("a", "b"), (g,), frozenset()),
+    "check_proof": lambda g: check_proof([ProofStep(g, None, ())], system),
+}
+print(__debug__)
+for entry, call in entries.items():
+    for forge, g in forged.items():
+        try:
+            print(entry, forge, "returned", repr(call(g)))
+        except Exception as exc:
+            print(entry, forge, type(exc).__name__)
+"""
+
+
+def test_forged_ids_are_refused_under_python_dash_o():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r})\n" + _OPTIMIZED_ID_CHECKS
+    out = subprocess.run(
+        [sys.executable, "-O", "-B", "-I", "-S", "-c", code],
+        capture_output=True, text=True, check=True,
+    )
+    lines = out.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[1:] == [
+        f"{entry} {forge} AssertionError"
+        for entry in ("render", "entails", "AxiomaticSystem", "check_proof")
+        for forge in ("foreign", "index-len", "plain-tuple")
+    ]
+
+
 def _records():
     """One instance of each of the package's 14 records."""
     report = gap_report(demo_system("EQ1"), close_with=RuleKind.LBI_RULE)
