@@ -245,6 +245,58 @@ def test_system_document_round_trip():
 
 # --- apply_rule ---------------------------------------------------------------
 
+def test_apply_rule_mp():
+    store = FormulaStore()
+    p = parse("p", store)
+    imp = parse("p -> q", store)
+    q = parse("q", store)
+    assert apply_rule(RuleKind.MP, (p, imp), store) == {q}
+    assert apply_rule(RuleKind.MP, (q, imp), store) == frozenset()
+    assert apply_rule(RuleKind.MP, (p, q), store) == frozenset()
+
+
+def test_apply_rule_lbi():
+    store = FormulaStore()
+    f = parse("(p | ~p) -> q", store)
+    assert apply_rule(RuleKind.LBI_RULE, (f,), store) == {parse("q", store)}
+    assert apply_rule(RuleKind.LBI_RULE, (parse("p -> q", store),), store) == frozenset()
+
+
+def test_apply_rule_case_split():
+    store = FormulaStore()
+    pos = parse("p -> y", store)
+    neg = parse("~p -> y", store)
+    assert apply_rule(RuleKind.CASE_SPLIT, (pos, neg), store) == {parse("y", store)}
+    # Premises are ordered: the positive branch comes first.
+    assert apply_rule(RuleKind.CASE_SPLIT, (neg, pos), store) == frozenset()
+    other = parse("p -> z", store)
+    assert apply_rule(RuleKind.CASE_SPLIT, (other, neg), store) == frozenset()
+
+
+def test_apply_rule_and_intro_and_elims():
+    store = FormulaStore()
+    p, q = parse("p", store), parse("q", store)
+    both = parse("p & q", store)
+    assert apply_rule(RuleKind.AND_INTRO, (p, q), store) == {both}
+    assert apply_rule(RuleKind.AND_ELIM_L, (both,), store) == {p}
+    assert apply_rule(RuleKind.AND_ELIM_R, (both,), store) == {q}
+    assert apply_rule(RuleKind.AND_ELIM_L, (p,), store) == frozenset()
+
+
+def test_apply_rule_or_intro_ranges_over_universe():
+    store = FormulaStore()
+    p, q = parse("p", store), parse("q", store)
+    got = apply_rule(RuleKind.OR_INTRO, (p,), store, universe=(p, q))
+    assert got == {parse("p | p", store), parse("p | q", store), parse("q | p", store)}
+
+
+def test_apply_rule_lem_instances():
+    store = FormulaStore()
+    p, q = parse("p", store), parse("q", store)
+    got = apply_rule(RuleKind.LEM_AXIOM, (), store, universe=(p, q))
+    assert got == {parse("p | ~p", store), parse("q | ~q", store)}
+
+
 def test_apply_rule_arity_mismatch():
     store = FormulaStore()
     p = parse("p", store)
