@@ -191,10 +191,12 @@ class AxiomaticSystem(_Record):
 
     The side-formula universe (what OR_INTRO and LEM_AXIOM range over) is
     the subformula closure of the axioms and any declared side formulas.
-    Construction checks every field: `rules` must be a frozenset of
+    Construction checks every field: `store` must be a `FormulaStore`,
+    `atoms` distinct atom names (not one `str`), `rules` a frozenset of
     `RuleKind` members, `bounds` a `Bounds`, and each axiom and side
-    formula an id of `store`. The formulas are kept as tuples, so the
-    package reads their indices later without checking them again.
+    formula an id of `store`. The atoms and formulas are kept as tuples,
+    so the package reads the formulas' indices later without checking
+    them again.
     """
 
     __slots__ = _fields = ("store", "atoms", "axioms", "rules", "side_formulas", "bounds")
@@ -208,6 +210,13 @@ class AxiomaticSystem(_Record):
         side_formulas: tuple[FormulaId, ...] = (),
         bounds: Bounds = Bounds(),
     ) -> None:
+        if not isinstance(store, FormulaStore):
+            raise ConfigError("store", "must be a FormulaStore")
+        if isinstance(atoms, str):
+            raise ConfigError("atoms", "must be a tuple of atom names, not a str")
+        atoms = tuple(atoms)
+        if not all(isinstance(name, str) for name in atoms):
+            raise ConfigError("atoms", "must be a tuple of atom names")
         if not isinstance(rules, frozenset) or not {RuleKind}.issuperset(map(type, rules)):
             raise ConfigError("rules", "must be a frozenset of RuleKind members")
         if not isinstance(bounds, Bounds):
@@ -215,7 +224,7 @@ class AxiomaticSystem(_Record):
         axioms, side_formulas = tuple(axioms), tuple(side_formulas)
         declared = set(atoms)
         for i, name in enumerate(atoms):
-            if not ATOM_NAME.match(name):
+            if not ATOM_NAME.fullmatch(name):
                 raise ConfigError(f"atoms[{i}]", f"invalid atom name {name!r}")
         if len(declared) != len(atoms):
             raise ConfigError("atoms", "duplicate atom names")
@@ -897,18 +906,20 @@ class InvalidStep(NamedTuple):
 
 
 def check_proof(
-    steps: Sequence[ProofStep], system: AxiomaticSystem
+    steps: Iterable[ProofStep], system: AxiomaticSystem
 ) -> Optional[InvalidStep]:
     """Replay a proof DAG against the system; None means valid.
 
-    A step's rule must be None (an axiom) or a `RuleKind`, and its
-    premises a tuple of `int`s (not `bool`s), each an earlier step's
-    position; a step whose rule or premises are not is answered with an
-    `InvalidStep`. Axiom steps must conclude an axiom; LEM_AXIOM steps
-    must be enabled and conclude a schema instance over the universe;
-    every other step's conclusion must be one `_conclusions` gives on its
-    premises, the definition `apply_rule` reads too. The conclusions are checked to be
-    the system store's once, up front; the system's axioms and universe
+    `steps` is read once, so a generator or an iterator is checked like a
+    list. Each step must unpack into (conclusion, rule, premises); its
+    rule must be None (an axiom) or a `RuleKind`, and its premises a
+    tuple of `int`s (not `bool`s), each an earlier step's position; a
+    step that is not so is answered with an `InvalidStep`. Axiom steps
+    must conclude an axiom; LEM_AXIOM steps must be enabled and conclude
+    a schema instance over the universe; every other step's conclusion
+    must be one `_conclusions` gives on its premises, the definition
+    `apply_rule` reads too. The conclusions are checked to be the system
+    store's once, up front; the system's axioms and universe
     were checked when it was built, so their indices are read. Then each
     step is replayed on store indices, so no id, node or set is built per
     step. A rule's candidate conclusions are looked up, not interned: a
@@ -919,7 +930,18 @@ def check_proof(
     # Read once: up to Python 3.11 `EnumType` defines `__getattr__`, which
     # slows every member lookup.
     lem_axiom = RuleKind.LEM_AXIOM
-    conclusions = _indices([conclusion for conclusion, _, _ in steps], store)
+    steps = tuple(steps)
+    try:
+        conclusions = _indices([conclusion for conclusion, _, _ in steps], store)
+    except (TypeError, ValueError):
+        # Some step does not unpack: answer the first one. Only then is
+        # the proof scanned again, so a well-formed one pays nothing.
+        for i, step in enumerate(steps):
+            try:
+                _, _, _ = step
+            except (TypeError, ValueError):
+                return InvalidStep(i, "step is not a (conclusion, rule, premises) triple")
+        raise
     premise_index = conclusions.__getitem__
     axioms = set(map(_id_index, system.axioms))
     # Only OR_INTRO and LEM_AXIOM steps range over the universe, and only

@@ -32,7 +32,8 @@ __all__ = [
     "match_lbi_shape",
 ]
 
-ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
+# The atom-name syntax: a name is a full match, and the tokenizer reads atoms by it.
+ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*")
 
 _store_tags = itertools.count(1)
 _id_index = attrgetter("index")
@@ -226,7 +227,7 @@ class FormulaStore:
         raise AssertionError(_NOT_AN_ID)
 
     def atom(self, name: str) -> FormulaId:
-        if not ATOM_NAME.match(name):
+        if not ATOM_NAME.fullmatch(name):
             raise ValueError(f"invalid atom name {name!r}")
         return self._id(self._atom(name))
 
@@ -366,11 +367,10 @@ def match_lbi_shape(f: FormulaId, store: FormulaStore) -> Optional[tuple[Formula
     negation, in either order. Deep equivalences (e.g. `~~x` vs `x`) do
     not match.
     """
-    fs = [store._index(f)]
-    implications = _positions(IMPLIES, _kinds_of(fs, store))
-    for _, pivot, conclusion in _lbi_shapes(fs, implications, store):
-        return store._id(pivot), store._id(conclusion)
-    return None
+    fs = (store._index(f),)
+    implications = (0,) if store._kinds[fs[0]] == IMPLIES else ()
+    shapes = _lbi_shapes(fs, implications, store)
+    return next(((store._id(x), store._id(y)) for _, x, y in shapes), None)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +406,7 @@ _TOKEN_ALIASES = {
 
 # Whitespace, then a connective, a parenthesis or an atom; the empty
 # alternative matches at the end of the text or at a stray character.
-_TOKEN = re.compile(r"\s*(" + "|".join(map(re.escape, _TOKEN_ALIASES)) + r"|[a-z][a-z0-9_]*|)")
+_TOKEN = re.compile(rf"\s*({'|'.join(map(re.escape, _TOKEN_ALIASES))}|{ATOM_NAME.pattern}|)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

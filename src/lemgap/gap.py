@@ -21,8 +21,8 @@ from .engine import (
     load_system,
     saturate,
 )
-from .formula import IMPLIES, NOT, FormulaId, FormulaStore, _case_splits, _kinds_of, _lbi_shapes
-from .formula import _positions, _texts_of, render
+from .formula import IMPLIES, NOT, FormulaId, _case_splits, _kinds_of, _lbi_shapes, _positions
+from .formula import _texts_of, render
 from .oracle import entails, independent
 
 __all__ = [
@@ -89,8 +89,9 @@ class GapReport(NamedTuple):
     gap_closed: Optional[bool]
 
 
-def lbi_accepted(result: EnumerationResult, store: FormulaStore) -> tuple[LbiWitness, ...]:
-    """All excluded-middle acceptances visible in an enumeration.
+def lbi_accepted(result: EnumerationResult) -> tuple[LbiWitness, ...]:
+    """All excluded-middle acceptances visible in an enumeration, read
+    against the run's own store.
 
     Reads the run's implications only. An EQ1_SHAPE witness is a theorem
     `(x | ~x) -> y` or `(~x | x) -> y` (`formula._lbi_shapes`, which
@@ -99,12 +100,9 @@ def lbi_accepted(result: EnumerationResult, store: FormulaStore) -> tuple[LbiWit
     CASE_SPLIT runs, so the two cannot drift apart. Witnesses are
     deduplicated by (conclusion, pivot, mode), the first (lowest) source
     positions kept, and sorted by canonical text so the output does not
-    depend on discovery order. Interns nothing. Raises AssertionError when
-    `result` is not a run over `store`.
+    depend on discovery order. Interns nothing.
     """
-    if result._store is not store:
-        raise AssertionError("EnumerationResult belongs to a different store")
-    theorems = result._indices
+    store, theorems = result._store, result._indices
     # Both patterns read implications only: their positions, walked once.
     positions = _positions(IMPLIES, _kinds_of(theorems, store))
     # (conclusion, pivot, mode) -> source positions, first witness kept.
@@ -152,7 +150,7 @@ def gap_report(
 
     store = system.store
     result = saturate(system)
-    witnesses = lbi_accepted(result, store)
+    witnesses = lbi_accepted(result)
     # Only the witnesses' conclusions, pivots and negated pivots are asked
     # about; intersecting with the theorem list walks it in C and builds
     # no set over every theorem.

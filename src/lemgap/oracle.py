@@ -5,11 +5,11 @@ per assignment), deterministic, and capped at ATOM_LIMIT atoms. Truth
 masks are computed in post-order on an explicit stack, so formula depth
 is not limited by recursion. Of a node's two children, the one that needs
 more live masks is done first (Sethi-Ullman labelling); each mask is
-dropped once its last reader has read it, and a requested mask is handed
-on as soon as it is finished. So a query's memory follows the most masks
-live at once, not the formula's size: a left-nested `&` of 4,096 atom
-occurrences over 20 atoms holds at most two masks beside its 20 atom
-masks.
+dropped once its last reader has read it, and a requested formula's mask
+is folded into the models of all requested formulas as soon as it is
+finished. So a query's memory follows the most masks live at once, not
+the formula's size: a left-nested `&` of 4,096 atom occurrences over 20
+atoms holds at most two masks beside its 20 atom masks.
 
 `entails` and `independent` keep, per store, the table of the last axiom
 set they were asked about: one truth mask per axiom atom, the models mask
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import weakref
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .formula import AND, ATOM, NOT, OR, FormulaId, FormulaStore, _atom_names, _closure, _indices
 
@@ -88,20 +88,19 @@ def evaluate(f: FormulaId, assignment: Assignment, store: FormulaStore) -> bool:
         except KeyError:
             raise MissingAtom(name) from None
 
-    ((_, mask),) = _masks((store._index(f),), atom_value, 1, store)
-    return mask == 1
+    return _models((store._index(f),), atom_value, 1, store) == 1
 
 
-def _masks(
+def _models(
     indices: Iterable[int],
     atom_mask: Callable[[str], int],
     full: int,
     store: FormulaStore,
-) -> Iterator[tuple[int, int]]:
-    """(index, truth mask) of each indexed formula, in the order given.
-
-    Bit j of a mask is the formula's value in assignment j; `full` has
-    every assignment's bit set. A formula given twice is yielded once.
+) -> int:
+    """The truth mask of the conjunction of the indexed formulas: bit j is
+    set when every one of them holds in assignment j. `full` has every
+    assignment's bit set, and is the answer when no formula is given. A
+    formula given twice is evaluated once.
 
     One ascending pass over the subformulas (children before parents)
     counts each one's readers (its parents, plus one if it is requested)
@@ -111,10 +110,10 @@ def _masks(
     requested formula is evaluated in post-order on an explicit stack,
     the child of larger need first, so the one mask it leaves waits
     through the cheaper child. A mask is dropped after its last read. A
-    requested mask is yielded when it is finished and its turn has come;
-    one finished inside an earlier request waits for its turn. So memory
-    follows the most masks live at once, not the formula's size. Atom
-    masks come from `atom_mask` and are not copied.
+    requested formula's own read comes when its evaluation ends (or at
+    once, if an earlier one finished it), and folds its mask into the
+    result. So memory follows the most masks live at once, not the
+    formula's size. Atom masks come from `atom_mask` and are not copied.
     """
     kinds, lefts, rights, names = store._kinds, store._lefts, store._rights, store._names
     roots = list(dict.fromkeys(indices))
@@ -138,6 +137,7 @@ def _masks(
         readers[i] += 1
 
     masks: dict[int, int] = {}
+    models = full
 
     def read(i: int) -> int:
         remaining = readers[i] - 1
@@ -175,7 +175,11 @@ def _masks(
                 masks[i] = read(lefts[i]) | read(rights[i])
             else:
                 masks[i] = (full ^ read(lefts[i])) | read(rights[i])
-        yield root, read(root)
+        # Every mask lies within `full`, so the first root's mask is taken
+        # as it is: a one-root query makes no 2**n-bit AND.
+        mask = read(root)
+        models = mask if models is full else models & mask
+    return models
 
 
 def _atom_mask(position: int, n_atoms: int) -> int:
@@ -216,24 +220,16 @@ def _truth_table(
     n = len(names)
     full = (1 << (1 << n)) - 1
     atom_masks = {name: _atom_mask(i, n) for i, name in enumerate(names)}
-    models = full
-    for _, mask in _masks(indices[:len(axioms)], atom_masks.__getitem__, full, store):
-        models &= mask
+    models = _models(indices[:len(axioms)], atom_masks.__getitem__, full, store)
     return _Table(axioms, full, atom_masks, models)
-
-
-def _mask(f: FormulaId, table: _Table, store: FormulaStore) -> int:
-    ((_, mask),) = _masks((f.index,), table.atom_masks.__getitem__, table.full, store)
-    return mask
 
 
 def classify(f: FormulaId, store: FormulaStore) -> Verdict:
     """Tautology, Contradiction, or Contingent, by exhausting assignments."""
-    table = _truth_table((), (f,), store)
-    mask = _mask(f, table, store)
-    if mask == table.full:
+    table = _truth_table((f,), (), store)  # the models of f alone: its truth mask
+    if table.models == table.full:
         return Verdict.TAUTOLOGY
-    if mask == 0:
+    if table.models == 0:
         return Verdict.CONTRADICTION
     return Verdict.CONTINGENT
 
@@ -258,7 +254,7 @@ def _query(axioms: tuple[FormulaId, ...], f: FormulaId, store: FormulaStore) -> 
         _indices(axioms, store)
     if table is None or not table.atom_masks.keys() >= _atom_names((store._index(f),), store):
         table = _truth_table(axioms, (f,), store)
-    return table, _mask(f, table, store)
+    return table, _models((f.index,), table.atom_masks.__getitem__, table.full, store)
 
 
 def entails(axioms: Iterable[FormulaId], f: FormulaId, store: FormulaStore) -> Entailment:

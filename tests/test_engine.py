@@ -105,6 +105,12 @@ def test_load_system_unknown_rule_names_field():
     assert err.value.field == "rules[1]"
 
 
+def test_load_system_rules_must_be_a_list():
+    with pytest.raises(ConfigError) as err:
+        load_system('{"axioms": [], "rules": "MP"}')
+    assert (err.value.field, err.value.reason) == ("rules", "must be a list of rule names")
+
+
 def test_load_system_axiom_too_large():
     doc = {"axioms": ["(p | ~p) -> q"], "bounds": {"max_formula_size": 5}}
     with pytest.raises(AxiomTooLarge):
@@ -151,6 +157,29 @@ def test_system_checks_its_rules_and_bounds():
             system._replace(bounds=bounds)
         assert (err.value.field, err.value.reason) == ("bounds", "must be a Bounds")
     assert len(saturate(system._replace(rules=frozenset({RuleKind.MP}))).theorems) == 3
+
+
+def test_system_checks_its_store_and_atoms():
+    # A store that is not a FormulaStore would fail deep inside the id
+    # check, and a str would be read as one atom per character.
+    system = load_system('{"axioms": ["p", "p -> q"]}')
+    with pytest.raises(ConfigError) as err:
+        AxiomaticSystem(None, (), (), frozenset())
+    assert (err.value.field, err.value.reason) == ("store", "must be a FormulaStore")
+    with pytest.raises(ConfigError) as err:
+        system._replace(store=None)
+    assert (err.value.field, err.value.reason) == ("store", "must be a FormulaStore")
+    with pytest.raises(ConfigError) as err:
+        system._replace(atoms="pq")
+    assert (err.value.field, err.value.reason) == (
+        "atoms", "must be a tuple of atom names, not a str"
+    )
+    for atoms in (("p", 1), ["p", None]):
+        with pytest.raises(ConfigError) as err:
+            system._replace(atoms=atoms)
+        assert (err.value.field, err.value.reason) == ("atoms", "must be a tuple of atom names")
+    assert system._replace(atoms=["p", "q"]).atoms == ("p", "q")
+    assert system._replace(atoms=iter(["q", "p"])).atoms == ("q", "p")
 
 
 def test_a_system_keeps_the_formulas_it_checked():
@@ -653,8 +682,9 @@ def test_check_proof_detects_forward_premise():
 def test_check_proof_detects_bogus_axiom_and_disabled_rule():
     system = mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q"))
     fake_axiom = ProofStep(conclusion=parse("q", system.store), rule=None, premises=())
-    failure = check_proof([fake_axiom], system)
-    assert failure == InvalidStep(0, "conclusion is not an axiom")
+    # The steps are read once, so a one-shot iterable is checked like a list.
+    for steps in ([fake_axiom], (step for step in [fake_axiom]), iter([fake_axiom])):
+        assert check_proof(steps, system) == InvalidStep(0, "conclusion is not an axiom")
     lem_step = ProofStep(
         conclusion=parse("p | ~p", system.store), rule=RuleKind.LEM_AXIOM, premises=()
     )
@@ -690,8 +720,9 @@ def test_check_proof_rejects_misshapen_steps():
 
 
 def test_check_proof_answers_malformed_rules_and_premises():
-    # A rule must be None or a RuleKind, and premises a tuple of ints (a
-    # bool is not one): each step below is answered, none crashes or passes.
+    # A step must unpack into (conclusion, rule, premises), its rule must be
+    # None or a RuleKind, and its premises a tuple of ints (a bool is not
+    # one): each step below is answered, none crashes or passes.
     system = mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q"))
     p, imp, q = (parse(t, system.store) for t in ("p", "p -> q", "q"))
     axioms = [ProofStep(p, None, ()), ProofStep(imp, None, ())]
@@ -701,6 +732,9 @@ def test_check_proof_answers_malformed_rules_and_premises():
         (ProofStep(q, RuleKind.MP, (0, 1.0)), "premises are not a tuple of ints"),
         (ProofStep(q, RuleKind.MP, 5), "premises are not a tuple of ints"),
         (ProofStep(q, RuleKind.MP, (0, True)), "premises are not a tuple of ints"),
+        ((q, RuleKind.MP), "step is not a (conclusion, rule, premises) triple"),
+        ((q, RuleKind.MP, (0, 1), 1), "step is not a (conclusion, rule, premises) triple"),
+        (None, "step is not a (conclusion, rule, premises) triple"),
     ]
     for step, reason in steps:
         assert check_proof([*axioms, step], system) == InvalidStep(2, reason)

@@ -38,7 +38,7 @@ from test_engine import mk_system, theorem_texts
 def test_lbi_accepted_shape_witness():
     system = demo_system(DemoVariant.EQ1)
     result = saturate(system)
-    witnesses = lbi_accepted(result, system.store)
+    witnesses = lbi_accepted(result)
     assert len(witnesses) == 1
     w = witnesses[0]
     assert render(w.conclusion, system.store) == "q"
@@ -50,7 +50,7 @@ def test_lbi_accepted_shape_witness():
 def test_lbi_accepted_two_branch_witness():
     system = mk_system(["a -> y", "~a -> y"], [RuleKind.MP], atoms=("a", "y"))
     result = saturate(system)
-    witnesses = lbi_accepted(result, system.store)
+    witnesses = lbi_accepted(result)
     assert len(witnesses) == 1
     w = witnesses[0]
     assert render(w.conclusion, system.store) == "y"
@@ -63,7 +63,7 @@ def test_lbi_accepted_two_branch_witness():
 
 def test_lbi_accepted_empty_enumeration():
     system = mk_system([], [RuleKind.MP], atoms=("p",))
-    assert lbi_accepted(saturate(system), system.store) == ()
+    assert lbi_accepted(saturate(system)) == ()
 
 
 def test_lbi_accepted_commuted_shape_and_dedup():
@@ -71,7 +71,7 @@ def test_lbi_accepted_commuted_shape_and_dedup():
         ["(p | ~p) -> q", "(~p | p) -> q"], [RuleKind.MP], atoms=("p", "q")
     )
     result = saturate(system)
-    witnesses = lbi_accepted(result, system.store)
+    witnesses = lbi_accepted(result)
     # Both axioms witness the same (conclusion, pivot, mode) triple.
     assert len(witnesses) == 1
 
@@ -81,15 +81,8 @@ def test_lbi_accepted_both_modes_reported():
         ["(p | ~p) -> q", "p -> q", "~p -> q"], [RuleKind.MP], atoms=("p", "q")
     )
     result = saturate(system)
-    modes = {w.mode for w in lbi_accepted(result, system.store)}
+    modes = {w.mode for w in lbi_accepted(result)}
     assert modes == {WitnessMode.EQ1_SHAPE, WitnessMode.TWO_BRANCH}
-
-
-def test_lbi_accepted_rejects_a_result_of_another_store():
-    system = demo_system(DemoVariant.EQ1)
-    result = saturate(system)
-    with pytest.raises(AssertionError):
-        lbi_accepted(result, demo_system(DemoVariant.EQ1).store)
 
 
 def _eq1_pivot(t, store):
@@ -150,7 +143,7 @@ def test_lbi_accepted_matches_apply_rule_brute_force():
         store = system.store
         result = saturate(system)
         theorems = result.theorems
-        witnesses = lbi_accepted(result, store)
+        witnesses = lbi_accepted(result)
         got = {(w.conclusion, w.pivot, w.mode) for w in witnesses}
         assert len(got) == len(witnesses)
         assert got == _accepted_by_apply_rule(result, store)
@@ -182,7 +175,7 @@ def test_queries_leave_the_store_unchanged():
     result = saturate(system)
     saturate(system.with_rules(system.rules | {RuleKind.LBI_RULE}))
     before = len(store)
-    assert len(lbi_accepted(result, store)) == 1
+    assert len(lbi_accepted(result)) == 1
     report = gap_report(system, RuleKind.LBI_RULE)
     assert [render(m.conclusion, store) for m in report.gap] == ["q"]
     assert report.gap_closed is True

@@ -69,10 +69,11 @@ def _random_dag(rng: random.Random, store: FormulaStore):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_masks_yield_each_root_once_in_order(seed):
-    # Several roots: the last node built (a superformula of some earlier
-    # ones) in a random position among nodes sampled from the whole DAG,
-    # so some roots are subformulas of roots given before or after them.
-    # The first root is given twice and yielded once.
+    # The walk gives the conjunction of its roots' masks. Several roots:
+    # the last node built (a superformula of some earlier ones) in a random
+    # position among nodes sampled from the whole DAG, so some roots are
+    # subformulas of roots given before or after them. The first root is
+    # given twice. Each root alone gives its own mask, and no root `full`.
     rng = random.Random(seed)
     store = FormulaStore()
     names, nodes = _random_dag(rng, store)
@@ -80,15 +81,17 @@ def test_masks_yield_each_root_once_in_order(seed):
     roots.insert(rng.randint(0, len(roots)), nodes[-1])
     roots = list(dict.fromkeys(roots))
     n = len(names)
-    atom_masks = {name: oracle._atom_mask(i, n) for i, name in enumerate(names)}
+    atom_mask = {name: oracle._atom_mask(i, n) for i, name in enumerate(names)}.__getitem__
     full = (1 << (1 << n)) - 1
     given = [f.index for f in roots] + [roots[0].index]
-    got = list(oracle._masks(given, atom_masks.__getitem__, full, store))
-    assert [i for i, _ in got] == [f.index for f in roots]
-    for f, (_, mask) in zip(roots, got):
-        for j in range(1 << n):
-            assignment = {name: bool(j >> i & 1) for i, name in enumerate(names)}
-            assert bool(mask >> j & 1) is evaluate(f, assignment, store)
+    models = oracle._models(given, atom_mask, full, store)
+    masks = [oracle._models((f.index,), atom_mask, full, store) for f in roots]
+    assert oracle._models((), atom_mask, full, store) == full
+    for j in range(1 << n):
+        assignment = {name: bool(j >> i & 1) for i, name in enumerate(names)}
+        values = [evaluate(f, assignment, store) for f in roots]
+        assert [bool(mask >> j & 1) for mask in masks] == values
+        assert bool(models >> j & 1) is all(values)
 
 
 def test_classify_examples():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import subprocess
 import sys
@@ -68,6 +69,18 @@ for entry, call in entries.items():
 """
 
 
+def test_the_package_has_no_assert_statement():
+    # `python -O` strips `assert` statements; every check in the package
+    # is an explicit raise, so that it survives.
+    package = Path(__file__).resolve().parent.parent / "src" / "lemgap"
+    sources = sorted(package.glob("*.py"))
+    assert {path.stem for path in sources} >= {"cli", "engine", "formula", "gap", "oracle"}
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
 def test_forged_ids_are_refused_under_python_dash_o():
     src = Path(__file__).resolve().parent.parent / "src"
     code = f"import sys; sys.path.insert(0, {str(src)!r})\n" + _OPTIMIZED_ID_CHECKS
@@ -114,6 +127,22 @@ def test_records_are_immutable_and_name_their_fields():
         assert record._replace() == record and hash(record._replace()) == hash(record)
         assert copy.copy(record) == record
         assert list(record._asdict()) == list(type(record)._fields)
+
+
+def test_a_record_equals_only_a_record_of_its_own_class():
+    # Unlike a NamedTuple, a record never equals the tuple of its values.
+    assert Bounds() == Bounds(12, 50, 100_000)
+    assert Bounds() != (12, 50, 100_000) and not Bounds() == (12, 50, 100_000)
+    assert Bounds().__eq__((12, 50, 100_000)) is NotImplemented
+
+
+def test_a_result_repr_leaves_out_its_private_fields():
+    # A result's store and step table are not part of what it shows.
+    assert repr(saturate(demo_system("EQ1"))) == (
+        "EnumerationResult(generations=(0,), stats=Stats(generations_run=1, "
+        "fixed_point_reached=True, rule_applications=0, dedup_hits=0), "
+        "stop_reason='fixed_point')"
+    )
 
 
 def test_validating_records_check_every_construction_replace_included():
