@@ -186,17 +186,29 @@ class Bounds(_Record):
         self._set(*values)
 
 
+def _tuple(value: Iterable, field_name: str, items_of: str) -> tuple:
+    """`value` as a tuple; a `ConfigError` naming the field unless it is
+    iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ConfigError(field_name, f"must be a tuple of {items_of}") from None
+    return tuple(items)
+
+
 class AxiomaticSystem(_Record):
     """Concrete axioms + enabled rules + bounds, tied to one FormulaStore.
 
     The side-formula universe (what OR_INTRO and LEM_AXIOM range over) is
     the subformula closure of the axioms and any declared side formulas.
     Construction checks every field: `store` must be a `FormulaStore`,
-    `atoms` distinct atom names (not one `str`), `rules` a frozenset of
-    `RuleKind` members, `bounds` a `Bounds`, and each axiom and side
-    formula an id of `store`. The atoms and formulas are kept as tuples,
-    so the package reads the formulas' indices later without checking
-    them again.
+    `atoms` an iterable of distinct atom names (not one `str`), `rules` a
+    frozenset of `RuleKind` members, `bounds` a `Bounds`, and `axioms`
+    and `side_formulas` iterables of ids of `store`; a field that is not
+    so is named by a `ConfigError`, except that an item that is not an id
+    trips the id predicate's `AssertionError`. The atoms and formulas are
+    kept as tuples, so the package reads the formulas' indices later
+    without checking them again.
     """
 
     __slots__ = _fields = ("store", "atoms", "axioms", "rules", "side_formulas", "bounds")
@@ -214,14 +226,15 @@ class AxiomaticSystem(_Record):
             raise ConfigError("store", "must be a FormulaStore")
         if isinstance(atoms, str):
             raise ConfigError("atoms", "must be a tuple of atom names, not a str")
-        atoms = tuple(atoms)
+        atoms = _tuple(atoms, "atoms", "atom names")
         if not all(isinstance(name, str) for name in atoms):
             raise ConfigError("atoms", "must be a tuple of atom names")
         if not isinstance(rules, frozenset) or not {RuleKind}.issuperset(map(type, rules)):
             raise ConfigError("rules", "must be a frozenset of RuleKind members")
         if not isinstance(bounds, Bounds):
             raise ConfigError("bounds", "must be a Bounds")
-        axioms, side_formulas = tuple(axioms), tuple(side_formulas)
+        axioms = _tuple(axioms, "axioms", "formula ids")
+        side_formulas = _tuple(side_formulas, "side_formulas", "formula ids")
         declared = set(atoms)
         for i, name in enumerate(atoms):
             if not ATOM_NAME.fullmatch(name):
@@ -910,39 +923,30 @@ def check_proof(
 ) -> Optional[InvalidStep]:
     """Replay a proof DAG against the system; None means valid.
 
-    `steps` is read once, so a generator or an iterator is checked like a
-    list. Each step must unpack into (conclusion, rule, premises); its
-    rule must be None (an axiom) or a `RuleKind`, and its premises a
-    tuple of `int`s (not `bool`s), each an earlier step's position; a
-    step that is not so is answered with an `InvalidStep`. Axiom steps
-    must conclude an axiom; LEM_AXIOM steps must be enabled and conclude
-    a schema instance over the universe; every other step's conclusion
-    must be one `_conclusions` gives on its premises, the definition
-    `apply_rule` reads too. The conclusions are checked to be the system
-    store's once, up front; the system's axioms and universe
-    were checked when it was built, so their indices are read. Then each
-    step is replayed on store indices, so no id, node or set is built per
-    step. A rule's candidate conclusions are looked up, not interned: a
-    step's conclusion is already in the store, so the replay adds nothing
-    to it.
+    One pass reads, checks and replays each step in order, so a generator
+    or an iterator is checked like a list, and a proof with several faults
+    is answered at its first faulty step: nothing after it is read. A step
+    must unpack into (conclusion, rule, premises); its conclusion must be
+    an id of the system's store (`FormulaStore._index` raises
+    `AssertionError` otherwise); its premises a tuple of `int`s (not
+    `bool`s), each an earlier step's position; and its rule None (an
+    axiom) or a `RuleKind`. Any other fault is answered with an
+    `InvalidStep`. Axiom steps must conclude an axiom; LEM_AXIOM steps
+    must be enabled and conclude a schema instance over the universe;
+    every other step's conclusion must be one `_conclusions` gives on its
+    premises, the definition `apply_rule` reads too. The system's axioms
+    and universe were checked when it was built, so their indices are
+    read. Each step is replayed on store indices, so no id, node or set
+    is built per step. A rule's candidate conclusions are looked up, not
+    interned: a step's conclusion is already in the store, so the replay
+    adds nothing to it.
     """
     store, enabled, lookup = system.store, system.rules, system.store._lookup
     # Read once: up to Python 3.11 `EnumType` defines `__getattr__`, which
     # slows every member lookup.
     lem_axiom = RuleKind.LEM_AXIOM
-    steps = tuple(steps)
-    try:
-        conclusions = _indices([conclusion for conclusion, _, _ in steps], store)
-    except (TypeError, ValueError):
-        # Some step does not unpack: answer the first one. Only then is
-        # the proof scanned again, so a well-formed one pays nothing.
-        for i, step in enumerate(steps):
-            try:
-                _, _, _ = step
-            except (TypeError, ValueError):
-                return InvalidStep(i, "step is not a (conclusion, rule, premises) triple")
-        raise
-    premise_index = conclusions.__getitem__
+    conclusions: list[int] = []
+    conclusion_index, premise_index = store._index, conclusions.__getitem__
     axioms = set(map(_id_index, system.axioms))
     # Only OR_INTRO and LEM_AXIOM steps range over the universe, and only
     # when the system enables them.
@@ -950,7 +954,12 @@ def check_proof(
     universe = list(map(_id_index, system.universe())) if ranging else []
     lem_instances: Optional[set[int]] = None
     not_ints = "premises are not a tuple of ints"
-    for i, ((_, rule, premises), conclusion) in enumerate(zip(steps, conclusions)):
+    for i, step in enumerate(steps):
+        try:
+            f, rule, premises = step
+        except (TypeError, ValueError):
+            return InvalidStep(i, "step is not a (conclusion, rule, premises) triple")
+        conclusions.append(conclusion := conclusion_index(f))
         if type(premises) is not tuple:
             return InvalidStep(i, not_ints)
         for p in premises:

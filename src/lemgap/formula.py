@@ -133,12 +133,14 @@ class FormulaStore:
     index is an `int` in `range(len(store))`. Every public entry that
     takes an id checks it by that predicate, through `_index` for one id
     or `_indices` for many, and raises `AssertionError` when it fails;
-    the raise is explicit, so `python -O` keeps it. Inside the package,
-    saturation, the oracle and gap reports read the columns and intern
-    over plain indices; an id from outside is checked once, where it
-    enters, and ids the package built or a system checked when it was
-    built are read, not checked again. A `FormulaId` is built only for
-    what is handed back.
+    the raise is explicit, so `python -O` keeps it. Two entries that ask
+    whether an id was derived answer a non-id as not derived instead:
+    `EnumerationResult.index_of` returns None and `extract_proof` raises
+    `NotDerived`. Inside the package, saturation, the oracle and gap
+    reports read the columns and intern over plain indices; an id from
+    outside is checked once, where it enters, and ids the package built
+    or a system checked when it was built are read, not checked again. A
+    `FormulaId` is built only for what is handed back.
     """
 
     def __init__(self) -> None:

@@ -180,6 +180,29 @@ def test_system_checks_its_store_and_atoms():
         assert (err.value.field, err.value.reason) == ("atoms", "must be a tuple of atom names")
     assert system._replace(atoms=["p", "q"]).atoms == ("p", "q")
     assert system._replace(atoms=iter(["q", "p"])).atoms == ("q", "p")
+    # A field that is not iterable is named, not a TypeError from `tuple`.
+    store, formula_fields = system.store, ("axioms", "side_formulas")
+    reasons = {"atoms": "must be a tuple of atom names"}
+    reasons.update(dict.fromkeys(formula_fields, "must be a tuple of formula ids"))
+    for field_name, reason in reasons.items():
+        for value in (None, 5):
+            with pytest.raises(ConfigError) as err:
+                system._replace(**{field_name: value})
+            assert (err.value.field, err.value.reason) == (field_name, reason)
+    for args, field_name in (
+        ((store, None, (), frozenset()), "atoms"),
+        ((store, ("p", "q"), None, frozenset()), "axioms"),
+        ((store, ("p", "q"), (), frozenset(), None), "side_formulas"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            AxiomaticSystem(*args)
+        assert err.value.field == field_name
+    # An iterable of non-ids still trips the id predicate.
+    for field_name in formula_fields:
+        for value in ([None], iter(["p"]), [FormulaStore().atom("p")]):
+            with pytest.raises(AssertionError):
+                system._replace(**{field_name: value})
+    assert system._replace(axioms=iter(system.axioms)) == system
 
 
 def test_a_system_keeps_the_formulas_it_checked():
@@ -685,6 +708,10 @@ def test_check_proof_detects_bogus_axiom_and_disabled_rule():
     # The steps are read once, so a one-shot iterable is checked like a list.
     for steps in ([fake_axiom], (step for step in [fake_axiom]), iter([fake_axiom])):
         assert check_proof(steps, system) == InvalidStep(0, "conclusion is not an axiom")
+    # Each step is unpacked once, so a step may itself be a one-shot iterator.
+    p = parse("p", system.store)
+    assert check_proof([iter([p, None, ()])], system) is None
+    assert check_proof([iter(fake_axiom)], system) == InvalidStep(0, "conclusion is not an axiom")
     lem_step = ProofStep(
         conclusion=parse("p | ~p", system.store), rule=RuleKind.LEM_AXIOM, premises=()
     )
@@ -739,6 +766,21 @@ def test_check_proof_answers_malformed_rules_and_premises():
     for step, reason in steps:
         assert check_proof([*axioms, step], system) == InvalidStep(2, reason)
     assert check_proof([*axioms, ProofStep(q, RuleKind.MP, (0, 1))], system) is None
+
+
+def test_check_proof_answers_the_first_faulty_step():
+    # One pass checks each step in order, so a fault at step 0 is answered
+    # before a malformed step or a foreign id after it is read.
+    system = mk_system(["p", "p -> q"], [RuleKind.MP], atoms=("p", "q"))
+    q = parse("q", system.store)
+    bad_premise = ProofStep(q, RuleKind.MP, (0, 1))
+    first = InvalidStep(0, "premise 0 does not precede the step")
+    foreign = ProofStep(parse("p", FormulaStore()), None, ())
+    for later in (None, (q, RuleKind.MP), foreign):
+        assert check_proof([bad_premise, later], system) == first
+    # A foreign id is still refused by the id predicate when it is read.
+    with pytest.raises(AssertionError):
+        check_proof([foreign, bad_premise], system)
 
 
 # (rule, premises, universe, conclusions), as formula texts.
@@ -834,20 +876,26 @@ def test_check_proof_builds_no_id_on_an_mp_chain(monkeypatch):
 
 
 def test_each_id_is_checked_once_from_loading_to_replay(monkeypatch):
-    # On an n-link MP chain, the ids `_indices` checks are the n + 1 axioms,
-    # once, when the system is built, and the 2n + 1 conclusions of the
-    # proof `check_proof` is given: 3n + 2. The universe and the axioms are
-    # read from the system, whose ids were checked when it was built.
+    # On an n-link MP chain, the ids checked, by `_indices` for many or
+    # `FormulaStore._index` for one, are the n + 1 axioms, once, when the
+    # system is built, and the 2n + 1 conclusions of the proof `check_proof`
+    # is given: 3n + 2. The universe and the axioms are read from the
+    # system, whose ids were checked when it was built.
     checked = []
-    indices = formula._indices
+    indices, index = formula._indices, FormulaStore._index
 
     def counted(fs, store):
         ids = list(fs)
         checked.append(len(ids))
         return indices(ids, store)
 
+    def counted_one(store, f):
+        checked.append(1)
+        return index(store, f)
+
     for module in (formula, engine):
         monkeypatch.setattr(module, "_indices", counted)
+    monkeypatch.setattr(FormulaStore, "_index", counted_one)
     n = 50
     axioms = ["a0"] + [f"a{i} -> a{i + 1}" for i in range(n)]
     system = load_system(json.dumps({"axioms": axioms, "bounds": {"max_generations": n}}))

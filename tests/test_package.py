@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -162,3 +163,25 @@ def test_stats_keep_their_field_order():
         "generations_run", "fixed_point_reached", "rule_applications", "dedup_hits"
     ]
     assert list(Bounds()._asdict()) == ["max_formula_size", "max_generations", "max_theorems"]
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # `perfbench/tracing.py` wraps each (module, attribute) pair of its
+    # `WRAPPED` at the place its caller looks it up, reading the owner's
+    # own `vars()`; a renamed target would fail only a traced benchmark
+    # run. The table is read from the source, so `perfbench` is not
+    # imported.
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    (wrapped,) = (
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["WRAPPED"]
+    )
+    assert wrapped
+    for module, path, _ in wrapped:
+        owner = importlib.import_module(module)
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = vars(owner)[part]
+        assert callable(vars(owner).get(attr)), (module, path)
