@@ -29,6 +29,14 @@ CORPUS = Path(__file__).with_name("cli_corpus.json")
 EQ1 = {"atoms": ["p", "q"], "axioms": ["(p | ~p) -> q"], "rules": ["MP"]}
 TWO_BRANCH = {"atoms": ["rh", "y"], "axioms": ["rh -> y", "~rh -> y"], "rules": ["MP"]}
 CHAIN = {"axioms": ["a", "a -> b", "b -> c"], "rules": ["MP"]}
+# The S9 benchmark system. The corpus runs it at max_formula_size 7 (S7,
+# 6,300 theorems), whose outputs pin theorem order, proof indices and
+# stats at scale; `tests/test_engine.py` pins its proof steps.
+S9 = {
+    "atoms": ["p", "q", "r", "s"],
+    "axioms": ["p", "q -> r", "(p | ~p) -> q", "~s -> r"],
+    "rules": ["MP", "AND_INTRO", "AND_ELIM_L", "AND_ELIM_R", "OR_INTRO"],
+}
 # Generations of one theorem each, then one of two: the boundary of the
 # canonical sort, which a generation of fewer than two theorems skips.
 WIDEN = {"axioms": ["a", "a -> b", "b -> c & d"], "rules": ["MP", "AND_ELIM_L", "AND_ELIM_R"]}
@@ -178,6 +186,12 @@ def _cases() -> list[tuple[str, dict, list[str]]]:
         "demo", "--variant", "EQ1", "--out", "d.json", "--system", "eq1.json")
     one("demo-rejects-max-generations", {},
         "demo", "--variant", "EQ1", "--out", "d.json", "--max-generations", "2")
+
+    s7 = {"s7.json": {**S9, "bounds": {"max_formula_size": 7}}}
+    both("s7-enumerate", s7, "enumerate", "--system", "s7.json")
+    for rule in ("LBI_RULE", "LEM_AXIOM", "CASE_SPLIT"):
+        both(f"s7-gap-{rule}", s7, "gap", "--system", "s7.json", "--close-with", rule)
+    both("s7-prove", s7, "prove", "--system", "s7.json", "--goal", "r")
     return cases
 
 

@@ -31,6 +31,7 @@ from lemgap.formula import FormulaId, FormulaStore, parse, render, size
 from lemgap.gap import gap_report
 from lemgap.oracle import entails
 
+from cli_corpus import S9
 from support import naive_closure, random_formula, random_system
 
 
@@ -1092,7 +1093,7 @@ def test_packed_steps_round_trip(rule):
 def test_extract_proof_on_s7_reads_the_pinned_steps():
     # `steps_digest` pins the run's steps below; every step of an extracted
     # proof must be the run's step for the same theorem, renumbered.
-    system = load_system(json.dumps({**S9_DOC, "bounds": {"max_formula_size": 7}}))
+    system = load_system(json.dumps({**S9, "bounds": {"max_formula_size": 7}}))
     result = saturate(system)
     assert steps_digest(result, system.store) == S7_DIGEST
     position = {f: i for i, f in enumerate(result.theorems)}
@@ -1107,18 +1108,11 @@ def test_extract_proof_on_s7_reads_the_pinned_steps():
 
 # --- golden proof steps --------------------------------------------------------
 
-# The S9 benchmark system; the pins below run it at sizes 7 and 9. Each pin
-# is the SHA-256 of one `rendered conclusion, rule, premises` line per
+# The pins below run `S9`, the S9 benchmark system, at sizes 7 and 9. Each
+# pin is the SHA-256 of one `rendered conclusion, rule, premises` line per
 # proof step, plus the exact Stats, so any drift in theorem order, proof
-# indices or counters shows up across commits.
-S9_DOC = {
-    "atoms": ["p", "q", "r", "s"],
-    "axioms": ["p", "q -> r", "(p | ~p) -> q", "~s -> r"],
-    "rules": ["MP", "AND_INTRO", "AND_ELIM_L", "AND_ELIM_R", "OR_INTRO"],
-}
-
-
-# The pins of the plain S7 run and of its LBI_RULE closure.
+# indices or counters shows up across commits. The first two are the plain
+# S7 run and its LBI_RULE closure.
 S7_DIGEST = "e41570c4da16246555ad14be365fada108f4ef1e71b127c4201b4462e721baca"
 S7_LBI_DIGEST = "4f02ef1bf5cc2ff757fbba79f46ff2708f525c443066070e8461c8ca864742c1"
 
@@ -1156,9 +1150,9 @@ def steps_digest(result, store):
 )
 def test_saturate_proof_steps_are_pinned(extra_axioms, extra_rules, bounds, digest, stats):
     doc = {
-        **S9_DOC,
-        "axioms": S9_DOC["axioms"] + list(extra_axioms),
-        "rules": S9_DOC["rules"] + list(extra_rules),
+        **S9,
+        "axioms": S9["axioms"] + list(extra_axioms),
+        "rules": S9["rules"] + list(extra_rules),
         "bounds": bounds,
     }
     system = load_system(json.dumps(doc))
@@ -1168,7 +1162,7 @@ def test_saturate_proof_steps_are_pinned(extra_axioms, extra_rules, bounds, dige
 
 
 def test_gap_report_builds_no_steps_and_reads_the_pinned_ones_later():
-    system = load_system(json.dumps({**S9_DOC, "bounds": {"max_formula_size": 7}}))
+    system = load_system(json.dumps({**S9, "bounds": {"max_formula_size": 7}}))
     report = gap_report(system, RuleKind.LBI_RULE)
     for run in (report.enumerated, report.closure):
         assert "theorems" not in vars(run) and "steps" not in vars(run)
@@ -1299,7 +1293,7 @@ def test_saturation_keeps_no_tracked_object_per_theorem(collector_state):
             max_generations=n + 1,
         )
 
-    s7 = load_system(json.dumps({**S9_DOC, "bounds": {"max_formula_size": 7}}))
+    s7 = load_system(json.dumps({**S9, "bounds": {"max_formula_size": 7}}))
     systems = [chain(200), chain(2000), s7]
     gc.disable()
     for system in systems:  # whatever a first run sets up once
@@ -1347,7 +1341,7 @@ def test_saturation_and_gap_reports_leave_no_cyclic_garbage(
 ):
     # With the collector off, anything a run leaves in a reference cycle
     # would be found by the explicit collections below.
-    doc = {**S9_DOC, "axioms": S9_DOC["axioms"] + list(extra_axioms),
+    doc = {**S9, "axioms": S9["axioms"] + list(extra_axioms),
            "bounds": {"max_formula_size": 7}}
     base = load_system(json.dumps(doc))
     closing = base.with_rules(base.rules | {close_with})

@@ -358,9 +358,9 @@ def test_nodes_built_from_the_columns_match_their_text():
     import json
 
     from lemgap.engine import load_system, saturate
-    from test_engine import S9_DOC
+    from cli_corpus import S9
 
-    doc = {**S9_DOC, "bounds": {"max_formula_size": 9, "max_theorems": 2_000_000}}
+    doc = {**S9, "bounds": {"max_formula_size": 9, "max_theorems": 2_000_000}}
     system = load_system(json.dumps(doc))
     saturate(system)
     store, other = system.store, FormulaStore()

@@ -3,6 +3,8 @@ from __future__ import annotations
 import ast
 import copy
 import importlib
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +42,24 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+def test_the_readme_library_example_prints_what_its_comments_say(tmp_path):
+    # The ```python block under the README's "Library use", run as a
+    # script from outside the checkout: each `print(...)` line ends in a
+    # comment giving the line it prints.
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"```python\n(.*?)```", readme.split("## Library use", 1)[1], re.S)[1]
+    expected = [
+        line.partition("#")[2].strip() for line in code.splitlines() if line.startswith("print(")
+    ]
+    assert expected == ["['q']", "True"]
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert out.stdout.splitlines() == expected
 
 
 # Run under `python -O`, which strips `assert` statements: each forged id
