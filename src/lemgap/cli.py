@@ -2,7 +2,9 @@
 
 Commands: parse, classify, enumerate, prove, gap, demo. Results go to
 stdout (text or machine-readable JSON, `--format`); diagnostics go to
-stderr. Exit codes: 0 success, 1 usage/config error (including a
+stderr. Each command builds its result document once: the machine
+output emits it, and the text output is a view of it, read from the
+same strings and values. Exit codes: 0 success, 1 usage/config error (including a
 system file over MAX_SYSTEM_BYTES, 1 MiB, or not valid UTF-8, and a
 formula in it over MAX_FORMULA_BYTES, 16 KiB), 2 formula parse error
 (including a formula argument over MAX_FORMULA_BYTES), 3 goal not
@@ -248,18 +250,13 @@ def _print_rows(table: _RowTable) -> None:
 def cmd_parse(args) -> int:
     store = FormulaStore()
     f = _parse_arg(args.formula, store)
+    doc = {"formula": render(f, store), "size": size(f, store), "atoms": list(atoms_of(f, store))}
     if args.format == "machine":
-        _emit(
-            {
-                "formula": render(f, store),
-                "size": size(f, store),
-                "atoms": list(atoms_of(f, store)),
-            }
-        )
+        _emit(doc)
     else:
-        print(render(f, store))
-        print(f"size: {size(f, store)}")
-        print("atoms: " + ", ".join(atoms_of(f, store)))
+        print(doc["formula"])
+        print(f"size: {doc['size']}")
+        print("atoms: " + ", ".join(doc["atoms"]))
     return EXIT_OK
 
 
@@ -271,36 +268,26 @@ def cmd_classify(args) -> int:
         store = system.store
         if args.entails is not None:
             verdict = entails(system.axioms, _parse_arg(args.entails, store), store)
-            if args.format == "machine":
-                _emit(
-                    {
-                        "entailed": verdict.holds,
-                        "countermodel": verdict.countermodel,
-                    }
-                )
-            else:
-                print(f"entailed: {str(verdict.holds).lower()}")
-                if verdict.countermodel is not None:
-                    pairs = " ".join(
-                        f"{name}={'T' if value else 'F'}"
-                        for name, value in sorted(verdict.countermodel.items())
-                    )
-                    print(f"countermodel: {pairs}")
+            doc = {"entailed": verdict.holds, "countermodel": verdict.countermodel}
+            lines = [f"entailed: {str(verdict.holds).lower()}"]
+            if verdict.countermodel is not None:
+                lines.append("countermodel: " + " ".join(
+                    f"{name}={'T' if value else 'F'}"
+                    for name, value in sorted(verdict.countermodel.items())
+                ))
         else:
             answer = independent(system.axioms, _parse_arg(args.independent, store), store)
-            if args.format == "machine":
-                _emit({"independent": answer})
-            else:
-                print(f"independent: {str(answer).lower()}")
-        return EXIT_OK
-    if args.system is not None:
+            doc, lines = {"independent": answer}, [f"independent: {str(answer).lower()}"]
+    elif args.system is not None:
         raise UsageError("--system is read only with --entails or --independent")
-    store = FormulaStore()
-    verdict = classify(_parse_arg(args.formula, store), store)
-    if args.format == "machine":
-        _emit({"verdict": verdict.value})
     else:
-        print(verdict.value)
+        store = FormulaStore()
+        verdict = classify(_parse_arg(args.formula, store), store).value
+        doc, lines = {"verdict": verdict}, [verdict]
+    if args.format == "machine":
+        _emit(doc)
+    else:
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -348,37 +335,29 @@ def cmd_gap(args) -> int:
     system = _load(args)
     close_with = RuleKind(args.close_with) if args.close_with else None
     report = gap_report(system, close_with)
+    doc = report_document(report)
     if args.format == "machine":
-        _emit(report_document(report))
+        _emit(doc)
         return EXIT_OK
-    store = system.store
-    # One generation per theorem: counting them builds no ids.
-    print(f"base run: {len(report.enumerated.generations)} theorem(s); "
+    print(f"base run: {len(doc['base']['theorems'])} theorem(s); "
           + _stats_lines(report.enumerated))
-    print(f"lbi-accepted ({len(report.lbi_accepted)}):")
-    for w in report.lbi_accepted:
-        print(
-            f"  {render(w.conclusion, store)}  pivot {render(w.pivot, store)}"
-            f"  [{w.mode.value}]  sources {','.join(str(i) for i in w.source_indices)}"
-        )
-    print(f"gap ({len(report.gap)}):")
-    for member in report.gap:
-        print(f"  {render(member.conclusion, store)}")
-        for w in member.witnesses:
-            print(f"    pivot {render(w.pivot, store)} [{w.mode.value}]")
-        v = member.verification
-        print(
-            "    oracle: "
-            f"entailed={str(v.oracle_entailed).lower()} "
-            f"pivot_independent={str(v.pivot_independent_semantically).lower()} "
-            f"pivot_absent={str(v.pivot_absent_syntactically).lower()}"
-        )
-    if report.closure is not None:
-        print(
-            f"closure with {report.closure_rule.value}: "
-            f"{len(report.closure.generations)} theorem(s); "
-            f"gap_closed={str(report.gap_closed).lower()}"
-        )
+    print(f"lbi-accepted ({len(doc['lbi_accepted'])}):")
+    for w in doc["lbi_accepted"]:
+        print(f"  {w['conclusion']}  pivot {w['pivot']}  [{w['mode']}]  sources "
+              + ",".join(map(str, w["sources"])))
+    print(f"gap ({len(doc['gap'])}):")
+    for member in doc["gap"]:
+        print(f"  {member['conclusion']}")
+        for w in member["witnesses"]:
+            print(f"    pivot {w['pivot']} [{w['mode']}]")
+        v = {key: str(flag).lower() for key, flag in member["verification"].items()}
+        print(f"    oracle: entailed={v['oracle_entailed']} "
+              f"pivot_independent={v['pivot_independent_semantically']} "
+              f"pivot_absent={v['pivot_absent_syntactically']}")
+    closure = doc["closure"]
+    if closure is not None:
+        print(f"closure with {closure['rule']}: {len(closure['theorems'])} theorem(s); "
+              f"gap_closed={str(doc['gap_closed']).lower()}")
     return EXIT_OK
 
 

@@ -1,12 +1,16 @@
-"""The golden CLI corpus: for each case, the argv and the files it reads,
-and the exit code, the SHA-256 of stdout and the exact stderr that
-`lemgap.cli.main` gives.
+"""The golden CLI corpus. Each case, its argv and the files it reads,
+is defined once, in `_cases()`; `tests/cli_corpus.json` holds only its
+pin, keyed by case id: the exit code, the SHA-256 of stdout and the
+exact stderr that `lemgap.cli.main` gives.
 
-`tests/test_cli.py::test_cli_corpus` replays every case of
-`tests/cli_corpus.json`. To rewrite that file from the code as it stands,
-run from the checkout:
+`tests/test_cli.py::test_cli_corpus` replays every case of `_cases()`
+against its pin. To rewrite the pins from the code as it stands, run
+from the checkout:
 
     PYTHONPATH=src python tests/cli_corpus.py
+
+It prints the id of every case whose pin it changed, added or dropped
+against the file it replaces, or that none moved.
 
 Each case runs in a fresh empty directory holding its files, so every
 path in argv and in the output is relative. A file is a system document,
@@ -172,6 +176,13 @@ def _cases() -> list[tuple[str, dict, list[str]]]:
         both(f"gap-eq1-{rule}", eq1, "gap", "--system", "eq1.json", "--close-with", rule)
         both(f"gap-two-branch-{rule}", two,
              "gap", "--system", "two.json", "--close-with", rule)
+    # Each of `p` and `p & r` makes the pivot `p` of EQ1's gap member
+    # entailed, so `pivot_independent` is false; only the axiom `p`
+    # puts it in the theorem list, so `pivot_absent` is false.
+    both("gap-pivot-axiom", {"pivot.json": {"axioms": ["(p | ~p) -> q", "p"]}},
+         "gap", "--system", "pivot.json")
+    both("gap-pivot-entailed", {"pivot.json": {"axioms": ["(p | ~p) -> q", "p & r"]}},
+         "gap", "--system", "pivot.json")
     both("gap-family", {"family.json": FAMILY},
          "gap", "--system", "family.json", "--close-with", "LBI_RULE")
     one("gap-max-generations", chain,
@@ -211,9 +222,10 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def build() -> list[dict]:
-    """Every case with the exit code, stdout digest and stderr it gives now."""
-    corpus = []
+def build() -> dict[str, dict]:
+    """The pin of every case, by id: the exit code, stdout digest and
+    stderr it gives now."""
+    pins = {}
     start = os.getcwd()
     for case_id, files, argv in _cases():
         with tempfile.TemporaryDirectory() as directory:
@@ -223,18 +235,31 @@ def build() -> list[dict]:
                 code, out, err = _run(argv)
             finally:
                 os.chdir(start)
-        corpus.append({
-            "id": case_id,
-            "files": files,
-            "argv": argv,
+        pins[case_id] = {
             "exit": code,
             "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),
             "stderr": err,
-        })
-    return corpus
+        }
+    return pins
+
+
+def read_pins() -> dict[str, dict]:
+    """The pins `tests/cli_corpus.json` holds, by case id."""
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":
-    corpus = build()
-    CORPUS.write_text(json.dumps(corpus, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-    print(f"wrote {len(corpus)} cases to {CORPUS}", file=sys.stderr)
+    old = read_pins() if CORPUS.exists() else {}
+    pins = build()
+    CORPUS.write_text(json.dumps(pins, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"wrote {len(pins)} pins to {CORPUS}", file=sys.stderr)
+    changes = {
+        "moved": [i for i in pins if i in old and pins[i] != old[i]],
+        "added": [i for i in pins if i not in old],
+        "dropped": [i for i in old if i not in pins],
+    }
+    for change, ids in changes.items():
+        for case_id in ids:
+            print(f"{change}: {case_id}")
+    if not changes["moved"]:
+        print("no pin moved")
