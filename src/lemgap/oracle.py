@@ -11,6 +11,16 @@ finished. So a query's memory follows the most masks live at once, not
 the formula's size: a left-nested `&` of 4,096 atom occurrences over 20
 atoms holds at most two masks beside its 20 atom masks.
 
+A binary node is settled without a 2**n-bit operation when its children
+decide it: when one child is the other's negation (`x | ~x` is every
+assignment, `x & ~x` none, `x -> ~x` is `~x`), when a child holds in
+every assignment (the `full` mask itself) or in none, or for `x -> x`.
+The node then takes `full`, 0 or a child's mask object as it is, so a
+settled node can settle its parents too. So the axiom `(x | ~x) -> y`
+costs the one operation of `~x`. Both children are still evaluated: the
+readers, the memory bound and `evaluate`'s totality are those of the
+plain walk.
+
 `entails` and `independent` keep, per store, the table of the last axiom
 set they were asked about: one truth mask per axiom atom, the models mask
 and the all-assignments mask, (n + 2) * 2**n bits for n atoms (about
@@ -114,6 +124,19 @@ def _models(
     once, if an earlier one finished it), and folds its mask into the
     result. So memory follows the most masks live at once, not the
     formula's size. Atom masks come from `atom_mask` and are not copied.
+
+    A binary node whose children decide it takes no 2**n-bit operation:
+    - one child the store's negation of the other: OR gives `full`, AND
+      0, IMPLIES its right child's mask (`x -> ~x` is `~x`, `~x -> x` is
+      `x`);
+    - a child that is `full` itself, or 0: `full & b` is b, `full | b`
+      `full`, `0 | b` b, `full -> b` b, `0 -> b` and `a -> full` `full`
+      (AND with 0 is cheap on its own);
+    - `x -> x` is `full`.
+    The mask taken is the child's own object, or `full` itself, so a
+    settled node can settle its parents, and the fold skips a root's
+    mask that is `full` or the models so far. Both children are still
+    read, so every atom is still looked up.
     """
     kinds, lefts, rights, names = store._kinds, store._lefts, store._rights, store._names
     roots = list(dict.fromkeys(indices))
@@ -169,16 +192,23 @@ def _models(
             kind = kinds[i]
             if kind == NOT:
                 masks[i] = full ^ read(lefts[i])
+                continue
+            x, y = lefts[i], rights[i]
+            a, b = read(x), read(y)
+            if kinds[y] == NOT and lefts[y] == x or kinds[x] == NOT and lefts[x] == y:
+                masks[i] = 0 if kind == AND else full if kind == OR else b  # x -> ~x is ~x
             elif kind == AND:
-                masks[i] = read(lefts[i]) & read(rights[i])
+                masks[i] = b if a is full else a if b is full else a & b
             elif kind == OR:
-                masks[i] = read(lefts[i]) | read(rights[i])
+                masks[i] = full if a is full or b is full else b if not a else a if not b else a | b
             else:
-                masks[i] = (full ^ read(lefts[i])) | read(rights[i])
+                masks[i] = (b if a is full else full if not a or b is full or x == y
+                            else (full ^ a) | b)
         # Every mask lies within `full`, so the first root's mask is taken
         # as it is: a one-root query makes no 2**n-bit AND.
         mask = read(root)
-        models = mask if models is full else models & mask
+        if mask is not models and mask is not full:
+            models = mask if models is full else models & mask
     return models
 
 

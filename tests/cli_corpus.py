@@ -46,6 +46,8 @@ S9 = {
 WIDEN = {"axioms": ["a", "a -> b", "b -> c & d"], "rules": ["MP", "AND_ELIM_L", "AND_ELIM_R"]}
 GROW = {"axioms": ["p", "q"], "rules": ["AND_INTRO"]}
 LBI = {"axioms": ["(p | ~p) -> q"], "rules": ["MP", "LBI_RULE"]}
+# `~r | s` is a near miss of the LBI antecedent `~x | x`.
+NEAR_MISS = {"axioms": ["(~r | s) -> q"], "rules": ["MP"]}
 SPLIT = {"axioms": ["rh -> y", "~rh -> y"], "rules": ["MP", "CASE_SPLIT"]}
 RANGED = {"axioms": ["p", "q -> r"], "rules": ["MP", "AND_INTRO", "OR_INTRO", "LEM_AXIOM"]}
 SIDE = {"axioms": ["p"], "side_formulas": ["q & r"], "rules": ["OR_INTRO"],
@@ -185,6 +187,9 @@ def _cases() -> list[tuple[str, dict, list[str]]]:
          "gap", "--system", "pivot.json")
     both("gap-family", {"family.json": FAMILY},
          "gap", "--system", "family.json", "--close-with", "LBI_RULE")
+    # No gap, and the closing rule derives nothing: `q` does not follow.
+    both("gap-near-miss", {"near.json": NEAR_MISS},
+         "gap", "--system", "near.json", "--close-with", "LBI_RULE")
     one("gap-max-generations", chain,
         "gap", "--system", "chain.json", "--max-generations", "1", "--format", "machine")
     one("gap-max-size-below-axiom", two, "gap", "--system", "two.json", "--max-size", "2")

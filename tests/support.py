@@ -7,6 +7,7 @@ round with direct pattern logic, so they can serve as ground truth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -26,23 +27,25 @@ from lemgap.formula import (
 
 
 def truth_value(f: FormulaId, assignment: dict[str, bool], store: FormulaStore) -> bool:
-    node = store.node(f)
-    if isinstance(node, Atom):
-        return assignment[node.name]
-    if isinstance(node, Not):
-        return not truth_value(node.child, assignment, store)
-    if isinstance(node, And):
-        return truth_value(node.left, assignment, store) and truth_value(
-            node.right, assignment, store
-        )
-    if isinstance(node, Or):
-        return truth_value(node.left, assignment, store) or truth_value(
-            node.right, assignment, store
-        )
-    assert isinstance(node, Implies)
-    return (not truth_value(node.antecedent, assignment, store)) or truth_value(
-        node.consequent, assignment, store
-    )
+    """f's value under the assignment, read from the node objects. Each
+    subformula is evaluated once, so a formula sharing subformulas costs
+    its distinct nodes, not its tree."""
+
+    @functools.cache
+    def value(g: FormulaId) -> bool:
+        node = store.node(g)
+        if isinstance(node, Atom):
+            return assignment[node.name]
+        if isinstance(node, Not):
+            return not value(node.child)
+        if isinstance(node, And):
+            return value(node.left) and value(node.right)
+        if isinstance(node, Or):
+            return value(node.left) or value(node.right)
+        assert isinstance(node, Implies)
+        return (not value(node.antecedent)) or value(node.consequent)
+
+    return value(f)
 
 
 def assignments_over(names: list[str]):
@@ -148,18 +151,28 @@ def naive_closure(system: AxiomaticSystem) -> frozenset[FormulaId]:
 
 
 def random_formula(
-    rng: random.Random, atoms: tuple[str, ...], target_size: int, store: FormulaStore
+    rng: random.Random,
+    atoms: tuple[str, ...],
+    target_size: int,
+    store: FormulaStore,
+    near_misses: bool = False,
 ) -> FormulaId:
+    """A random formula of the target size. With `near_misses`, half the
+    disjunctions that can read `~x | y` do: a near miss of the LBI
+    antecedent `~x | x`, or that antecedent when y is x."""
     if target_size <= 1:
         return store.atom(rng.choice(atoms))
     if target_size == 2:
         return store.neg(random_formula(rng, atoms, 1, store))
     kind = rng.choice(("not", "and", "or", "implies"))
     if kind == "not":
-        return store.neg(random_formula(rng, atoms, target_size - 1, store))
+        return store.neg(random_formula(rng, atoms, target_size - 1, store, near_misses))
     left_size = rng.randint(1, target_size - 2)
-    left = random_formula(rng, atoms, left_size, store)
-    right = random_formula(rng, atoms, target_size - 1 - left_size, store)
+    if near_misses and kind == "or" and left_size > 1 and rng.random() < 0.5:
+        left = store.neg(random_formula(rng, atoms, left_size - 1, store, near_misses))
+    else:
+        left = random_formula(rng, atoms, left_size, store, near_misses)
+    right = random_formula(rng, atoms, target_size - 1 - left_size, store, near_misses)
     if kind == "and":
         return store.conj(left, right)
     if kind == "or":
@@ -180,12 +193,14 @@ BASE_RULE_POOL = (
 def random_system(
     rng: random.Random, extra_rules: frozenset[RuleKind] = frozenset()
 ) -> AxiomaticSystem:
-    """Random desk-scale system: <= 3 atoms, <= 3 axioms of size <= 5,
-    rules drawn from the base pool, max_formula_size <= 7."""
+    """Random desk-scale system: <= 3 atoms, <= 3 axioms of size <= 6,
+    with near misses of `~x | x` (see `random_formula`), rules drawn from
+    the base pool, max_formula_size <= 7. Size 6 admits an LBI axiom
+    `(~x | x) -> y` over atoms, and its near misses."""
     atoms = ("a", "b", "c")[: rng.randint(1, 3)]
     store = FormulaStore()
     axioms = tuple(
-        random_formula(rng, atoms, rng.randint(1, 5), store)
+        random_formula(rng, atoms, rng.randint(1, 6), store, near_misses=True)
         for _ in range(rng.randint(0, 3))
     )
     rules = {r for r in BASE_RULE_POOL if rng.random() < 0.5} | set(extra_rules)

@@ -800,6 +800,8 @@ _NO_MATCHER_CASES = [
     (RuleKind.LBI_RULE, ["(~p | p) -> q"], [], ["q"]),
     (RuleKind.LBI_RULE, ["(~p | ~~p) -> q"], [], ["q"]),
     (RuleKind.LBI_RULE, ["(p | ~q) -> q"], [], []),
+    (RuleKind.LBI_RULE, ["(~r | s) -> q"], [], []),
+    (RuleKind.LBI_RULE, ["(r | ~s) -> q"], [], []),
     (RuleKind.LBI_RULE, ["p -> q"], [], []),
     (RuleKind.LBI_RULE, ["p | ~p"], [], []),
     (RuleKind.CASE_SPLIT, ["p -> y", "~p -> y"], [], ["y"]),

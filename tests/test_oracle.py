@@ -35,8 +35,17 @@ def test_evaluate_examples():
 
 def test_evaluate_requires_total_assignment():
     store = FormulaStore()
-    with pytest.raises(MissingAtom):
-        evaluate(parse("p & q", store), {"p": True}, store)
+    rows = [
+        ("p & q", {"p": True}, "q"),
+        # Complementary children settle `p | ~p` without its atom's value,
+        # but the atom is still read.
+        ("p | ~p", {}, "p"),
+        ("(p | ~p) -> q", {"q": True}, "p"),
+    ]
+    for text, assignment, missing in rows:
+        with pytest.raises(MissingAtom) as excinfo:
+            evaluate(parse(text, store), assignment, store)
+        assert excinfo.value.name == missing
 
 
 def test_evaluate_ignores_extra_atoms():
@@ -54,16 +63,25 @@ def test_evaluate_matches_reference_evaluator(shape):
 
 def _random_dag(rng: random.Random, store: FormulaStore):
     """Atoms over at most 8 names, then nodes whose children are drawn from
-    everything built so far, so subformulas are shared."""
+    everything built so far, so subformulas are shared. One node in five
+    pairs a node with its own negation, itself or a near miss, the
+    negation of another node, in either order: `x | ~x`, `~x & x`,
+    `x -> x`, `x | ~y`. Later nodes then nest these, and the constants
+    they settle to, under every connective."""
     names = [f"a{i}" for i in range(rng.randint(1, 8))]
     nodes = [store.atom(name) for name in names]
     for _ in range(rng.randint(1, 40)):
-        kind = rng.randrange(4)
+        kind = rng.randrange(5)
+        x, y = rng.choice(nodes), rng.choice(nodes)
         if kind == 0:
-            nodes.append(store.neg(rng.choice(nodes)))
-        else:
-            build = (store.conj, store.disj, store.impl)[kind - 1]
-            nodes.append(build(rng.choice(nodes), rng.choice(nodes)))
+            nodes.append(store.neg(x))
+            continue
+        if kind == 4:
+            kind = rng.randint(1, 3)
+            y = rng.choice((x, store.neg(x), store.neg(y)))
+            if rng.random() < 0.5:
+                x, y = y, x
+        nodes.append((store.conj, store.disj, store.impl)[kind - 1](x, y))
     return names, nodes
 
 
@@ -89,9 +107,82 @@ def test_masks_yield_each_root_once_in_order(seed):
     assert oracle._models((), atom_mask, full, store) == full
     for j in range(1 << n):
         assignment = {name: bool(j >> i & 1) for i, name in enumerate(names)}
-        values = [evaluate(f, assignment, store) for f in roots]
+        values = [truth_value(f, assignment, store) for f in roots]
+        assert [evaluate(f, assignment, store) for f in roots] == values
         assert [bool(mask >> j & 1) for mask in masks] == values
         assert bool(models >> j & 1) is all(values)
+
+
+@pytest.mark.parametrize(
+    ("texts", "operations", "passed_on"),
+    [
+        # Complementary children, either side negated, under each connective.
+        ("p | ~p", 1, "full"),
+        ("~p | p", 1, "full"),
+        ("~p & p", 1, None),
+        ("p & ~p", 1, None),
+        ("p -> ~p", 1, None),
+        ("~p -> p", 1, "p"),
+        ("p -> p", 0, "full"),
+        # A child of all assignments (`full` itself) or of none, on either side.
+        ("(p | ~p) -> q", 1, "q"),
+        ("(p & ~p) -> q", 1, "full"),
+        ("q -> (p | ~p)", 1, "full"),
+        ("q -> (p & ~p)", 3, None),
+        ("(p | ~p) & q", 1, "q"),
+        ("q & (p | ~p)", 1, "q"),
+        ("(p | ~p) | q", 1, "full"),
+        ("q | (p | ~p)", 1, "full"),
+        ("(p & ~p) | q", 1, "q"),
+        ("q | (p & ~p)", 1, "q"),
+        ("((p | ~p) -> q) -> r", 3, None),
+        # The fold skips a root's mask when it is `full` or the models so far.
+        ("(p | ~p) -> q, (r | ~r) -> q", 2, "q"),
+        ("q, p | ~p", 1, "q"),
+        ("p | ~p, q", 1, "q"),
+        ("p | q, q | r", 3, None),
+        # Near misses and plain nodes take the 2**n-bit operations.
+        ("p | ~q", 2, None),
+        ("~p | q", 2, None),
+        ("(~p | q) -> r", 4, None),
+        ("(r | ~s) -> q", 4, None),
+        ("p & q", 1, None),
+        ("p -> q", 2, None),
+    ],
+)
+def test_models_settles_complementary_and_constant_children_without_mask_operations(
+    texts, operations, passed_on
+):
+    # Every mask is an int subclass that counts the bitwise operations it
+    # takes part in, each one a 2**n-bit operation on real tables. A node
+    # settled by its children's shape or by `full` or 0 costs none, and
+    # passes a child's mask object, or `full`, on as itself.
+    counted = []
+
+    class Mask(int):
+        def _counting(name):
+            def operation(self, other):
+                counted.append(name)
+                return Mask(getattr(int, name)(self, other))
+            return operation
+
+        __and__, __rand__, __or__, __ror__, __xor__, __rxor__ = map(
+            _counting, ("__and__", "__rand__", "__or__", "__ror__", "__xor__", "__rxor__")
+        )
+
+    store = FormulaStore()
+    roots = [parse(text, store) for text in texts.split(", ")]
+    names = sorted({name for f in roots for name in atoms_of(f, store)})
+    n = len(names)
+    masks = {name: Mask(oracle._atom_mask(i, n)) for i, name in enumerate(names)}
+    masks["full"] = Mask((1 << (1 << n)) - 1)
+    models = oracle._models([f.index for f in roots], masks.__getitem__, masks["full"], store)
+    assert len(counted) == operations, counted
+    if passed_on is not None:
+        assert models is masks[passed_on]
+    for j in range(1 << n):
+        assignment = {name: bool(j >> i & 1) for i, name in enumerate(names)}
+        assert bool(models >> j & 1) is all(truth_value(f, assignment, store) for f in roots)
 
 
 def test_classify_examples():
@@ -274,6 +365,24 @@ def test_family_report_builds_the_axiom_table_once(monkeypatch):
     assert [m.verification.oracle_entailed for m in report.gap] == [True]
     assert report.gap[0].verification.pivot_independent_semantically is True
     assert sorted(calls) == list(range(20))
+
+
+def test_a_query_over_the_axioms_own_atoms_reuses_their_table(monkeypatch):
+    # `p -> q` and `p & q` have exactly the atoms of EQ1's axiom, so both
+    # queries are answered from the one table the first of them builds.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return truth_table(*args)
+
+    truth_table = oracle._truth_table
+    monkeypatch.setattr(oracle, "_truth_table", counting)
+    store = FormulaStore()
+    axioms = (parse("(p | ~p) -> q", store),)
+    assert entails(axioms, parse("p -> q", store), store).holds is True
+    assert independent(axioms, parse("p & q", store), store) is True
+    assert len(calls) == 1
 
 
 def test_axiom_tables_are_one_per_store_and_die_with_it():
