@@ -28,7 +28,6 @@ from .formula import (
     _case_splits,
     _closure,
     _id_index,
-    _indices,
     _kinds_of,
     _lbi_shapes,
     _positions,
@@ -243,10 +242,10 @@ class AxiomaticSystem(_Record):
             raise ConfigError("atoms", "duplicate atom names")
         # One closure over every formula finds whether any atom is
         # undeclared; only then is each formula scanned, so that the error
-        # names the first one that uses such an atom. `_indices` checks
+        # names the first one that uses such an atom. `store._index` checks
         # every id, so each size is read off the store's column.
         limit = bounds.max_formula_size
-        used = _atom_names(_indices((*axioms, *side_formulas), store), store)
+        used = _atom_names(map(store._index, (*axioms, *side_formulas)), store)
         undeclared = used - declared
         for field_name, formulas, too_large in (
             ("axioms", axioms, AxiomTooLarge),
@@ -566,7 +565,7 @@ def apply_rule(
     """
     if len(premises) != RULE_ARITY[rule]:
         raise ArityMismatch(rule, len(premises))
-    premises, universe = _indices(premises, store), _indices(universe, store)
+    premises, universe = list(map(store._index, premises)), list(map(store._index, universe))
     return frozenset(store._ids(_conclusions(rule, premises, store, universe, store._intern)))
 
 
@@ -635,8 +634,10 @@ class _Saturation:
         self.offered_conjunctions: list[int] = []
 
     def offer(self, conclusion: int, step: int) -> None:
-        if self.sizes[conclusion] > self.max_size:
-            return
+        """Record `conclusion` as a candidate of this round, or count a
+        dedup hit. It fits `max_size`: an axiom does (`AxiomTooLarge`),
+        `seed` tests each LEM instance, and every other conclusion offered
+        is a proper subformula of a theorem."""
         if conclusion in self.position or conclusion in self.candidates:
             self.dedup_hits += 1
             return
@@ -690,7 +691,9 @@ class _Saturation:
             store = self.store
             lem = _pack(RuleKind.LEM_AXIOM)
             for x in self.universe:
-                self.offer(store._intern_binary(OR, x, store._neg(x)), lem)
+                instance = store._intern_binary(OR, x, store._neg(x))
+                if self.sizes[instance] <= self.max_size:
+                    self.offer(instance, lem)
         self.admit_generation(0)
 
     def run_mp(self, delta: range) -> None:
@@ -700,18 +703,12 @@ class _Saturation:
             i = position.get(self.lefts[theorems[j]])
             if i is not None:
                 pairs.add((i, j))
-        # Each i in delta that is the antecedent of an implication j, found
-        # from the smaller side: S9 has 3 antecedents against 100,000 new
-        # theorems, a chain 2,000 against one.
+        # Each theorem of delta that is the antecedent of an implication j,
+        # found by one C-level intersection with delta's theorems.
         by_antecedent = self.impl_by_antecedent
-        if len(by_antecedent) < len(delta):
-            found = [(position.get(a), js) for a, js in by_antecedent.items()]
-        else:
-            found = [(i, by_antecedent.get(theorems[i], ())) for i in delta]
-        for i, implications in found:
-            if i is not None and i >= delta.start:
-                js = (implications,) if type(implications) is int else implications
-                pairs.update((i, j) for j in js)
+        for a in by_antecedent.keys() & theorems[delta.start:]:
+            i, js = position[a], by_antecedent[a]
+            pairs.update((i, j) for j in ((js,) if type(js) is int else js))
         mp = _pack(RuleKind.MP)
         for i, j in sorted(pairs):
             self.applications += 1
@@ -721,8 +718,8 @@ class _Saturation:
         # Every pair (i, j) with i or j in delta whose conjunction fits,
         # size(i) + size(j) < max_size, in ascending order: an i before delta
         # pairs with the delta theorems within its budget, an i in delta with
-        # every theorem within it. Each conjunction fits, so the size check
-        # of `offer` is skipped; its dedup check is inlined.
+        # every theorem within it. Each conjunction fits, as `offer` expects;
+        # its dedup check is inlined.
         theorems, sizes = self.theorems, self.sizes
         position, candidates = self.position, self.candidates
         intern = self.store._intern_binary
@@ -770,9 +767,8 @@ class _Saturation:
         beside the smallest universe member are tried. `admit_generation`
         sorts each generation by size, so they are a prefix of delta, found
         by bisection; the rest are counted without a loop (S9 tries 6,300
-        of its 110,747 theorems). Each disjunction tried fits the budget, so
-        as in run_and_intro only the dedup check of `offer` is done,
-        inlined."""
+        of its 110,747 theorems). Each disjunction tried fits the budget, as
+        `offer` expects; as in run_and_intro its dedup check is inlined."""
         theorems, sizes = self.theorems, self.sizes
         position, candidates = self.position, self.candidates
         intern = self.store._intern_binary

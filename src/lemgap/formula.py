@@ -37,7 +37,6 @@ ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*")
 
 _store_tags = itertools.count(1)
 _id_index = attrgetter("index")
-_NOT_AN_ID = "FormulaId is not an id of this store"
 
 
 class FormulaId(NamedTuple):
@@ -131,10 +130,11 @@ class FormulaStore:
     `f in store` is the one id predicate: `f` is a `FormulaId` (not a
     plain tuple) whose tag is an `int` equal to the store's and whose
     index is an `int` in `range(len(store))`. Every public entry that
-    takes an id checks it by that predicate, through `_index` for one id
-    or `_indices` for many, and raises `AssertionError` when it fails;
-    the raise is explicit, so `python -O` keeps it. Two entries that ask
-    whether an id was derived answer a non-id as not derived instead:
+    takes an id checks it by that predicate through `_index`, which
+    raises `AssertionError` when it fails; many ids are read by
+    `map(store._index, fs)`, which stops at the first bad one. The raise
+    is explicit, so `python -O` keeps it. Two entries that ask whether an
+    id was derived answer a non-id as not derived instead:
     `EnumerationResult.index_of` returns None and `extract_proof` raises
     `NotDerived`. Inside the package, saturation, the oracle and gap
     reports read the columns and intern over plain indices; an id from
@@ -226,7 +226,7 @@ class FormulaStore:
         """The index of `f`; AssertionError unless `f in self`."""
         if f in self:
             return f.index
-        raise AssertionError(_NOT_AN_ID)
+        raise AssertionError("FormulaId is not an id of this store")
 
     def atom(self, name: str) -> FormulaId:
         if not ATOM_NAME.fullmatch(name):
@@ -247,15 +247,6 @@ class FormulaStore:
 
     def impl(self, antecedent: FormulaId, consequent: FormulaId) -> FormulaId:
         return self._binary(IMPLIES, antecedent, consequent)
-
-
-def _indices(fs: Iterable[FormulaId], store: FormulaStore) -> list[int]:
-    """The store indices of `fs`; AssertionError unless each is in
-    `store`, by `FormulaStore.__contains__`."""
-    ids = list(fs)
-    if all(map(store.__contains__, ids)):
-        return list(map(_id_index, ids))
-    raise AssertionError(_NOT_AN_ID)
 
 
 def size(f: FormulaId, store: FormulaStore) -> int:
@@ -295,7 +286,7 @@ def atoms_of(f: FormulaId, store: FormulaStore) -> tuple[str, ...]:
 
 def subformula_closure(fs: Iterable[FormulaId], store: FormulaStore) -> frozenset[FormulaId]:
     """All subformulas of the inputs, the inputs included."""
-    return frozenset(store._ids(_closure(_indices(fs, store), store)))
+    return frozenset(store._ids(_closure(map(store._index, fs), store)))
 
 
 def _kinds_of(fs: Iterable[int], store: FormulaStore) -> bytes:
@@ -612,6 +603,6 @@ def canonical_order(fs: Iterable[FormulaId], store: FormulaStore) -> list[Formul
 
     Renders, and caches, only the formulas of `fs` and their subformulas.
     """
-    ordered = _indices(fs, store)
+    ordered = list(map(store._index, fs))
     _sort_canonical(ordered, store)
     return store._ids(ordered)

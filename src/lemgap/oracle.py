@@ -14,10 +14,11 @@ atoms holds at most two masks beside its 20 atom masks.
 A binary node is settled without a 2**n-bit operation when its children
 decide it: when one child is the other's negation (`x | ~x` is every
 assignment, `x & ~x` none, `x -> ~x` is `~x`), when a child holds in
-every assignment (the `full` mask itself) or in none, or for `x -> x`.
-The node then takes `full`, 0 or a child's mask object as it is, so a
-settled node can settle its parents too. So the axiom `(x | ~x) -> y`
-costs the one operation of `~x`. Both children are still evaluated: the
+every assignment (the `full` mask itself) or in none, or for `x -> x`;
+so is a negation of `full` or of 0. The node then takes `full`, 0 or a
+child's mask object as it is, so a settled node can settle its parents
+too. So the axiom `(x | ~x) -> y` costs the one operation of `~x`, and
+so does `~(x & ~x) -> y`. Both children are still evaluated: the
 readers, the memory bound and `evaluate`'s totality are those of the
 plain walk.
 
@@ -38,7 +39,7 @@ import enum
 import weakref
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .formula import AND, ATOM, NOT, OR, FormulaId, FormulaStore, _atom_names, _closure, _indices
+from .formula import AND, ATOM, NOT, OR, FormulaId, FormulaStore, _atom_names, _closure
 
 __all__ = [
     "ATOM_LIMIT",
@@ -125,7 +126,8 @@ def _models(
     result. So memory follows the most masks live at once, not the
     formula's size. Atom masks come from `atom_mask` and are not copied.
 
-    A binary node whose children decide it takes no 2**n-bit operation:
+    A negation of `full` itself takes 0, and one of 0 takes `full`. A
+    binary node whose children decide it takes no 2**n-bit operation:
     - one child the store's negation of the other: OR gives `full`, AND
       0, IMPLIES its right child's mask (`x -> ~x` is `~x`, `~x -> x` is
       `x`);
@@ -191,7 +193,8 @@ def _models(
             i = ~i
             kind = kinds[i]
             if kind == NOT:
-                masks[i] = full ^ read(lefts[i])
+                a = read(lefts[i])
+                masks[i] = 0 if a is full else full if not a else full ^ a
                 continue
             x, y = lefts[i], rights[i]
             a, b = read(x), read(y)
@@ -243,7 +246,7 @@ def _truth_table(
     axioms: tuple[FormulaId, ...], extra: tuple[FormulaId, ...], store: FormulaStore
 ) -> _Table:
     """The axioms' table over their atoms and those of `extra`."""
-    indices = _indices((*axioms, *extra), store)
+    indices = list(map(store._index, (*axioms, *extra)))
     names = sorted(_atom_names(indices, store))
     if len(names) > ATOM_LIMIT:
         raise TooManyAtoms(len(names))
@@ -281,7 +284,7 @@ def _query(axioms: tuple[FormulaId, ...], f: FormulaId, store: FormulaStore) -> 
         except TooManyAtoms:
             table = None  # the combined table below raises with the full count
     elif table.axioms is not axioms:
-        _indices(axioms, store)
+        list(map(store._index, axioms))
     if table is None or not table.atom_masks.keys() >= _atom_names((store._index(f),), store):
         table = _truth_table(axioms, (f,), store)
     return table, _models((f.index,), table.atom_masks.__getitem__, table.full, store)

@@ -879,25 +879,18 @@ def test_check_proof_builds_no_id_on_an_mp_chain(monkeypatch):
 
 
 def test_each_id_is_checked_once_from_loading_to_replay(monkeypatch):
-    # On an n-link MP chain, the ids checked, by `_indices` for many or
-    # `FormulaStore._index` for one, are the n + 1 axioms, once, when the
-    # system is built, and the 2n + 1 conclusions of the proof `check_proof`
-    # is given: 3n + 2. The universe and the axioms are read from the
-    # system, whose ids were checked when it was built.
+    # On an n-link MP chain, the ids checked, each by `FormulaStore._index`,
+    # are the n + 1 axioms, once, when the system is built, and the 2n + 1
+    # conclusions of the proof `check_proof` is given: 3n + 2. The universe
+    # and the axioms are read from the system, whose ids were checked when
+    # it was built.
     checked = []
-    indices, index = formula._indices, FormulaStore._index
-
-    def counted(fs, store):
-        ids = list(fs)
-        checked.append(len(ids))
-        return indices(ids, store)
+    index = FormulaStore._index
 
     def counted_one(store, f):
         checked.append(1)
         return index(store, f)
 
-    for module in (formula, engine):
-        monkeypatch.setattr(module, "_indices", counted)
     monkeypatch.setattr(FormulaStore, "_index", counted_one)
     n = 50
     axioms = ["a0"] + [f"a{i} -> a{i + 1}" for i in range(n)]

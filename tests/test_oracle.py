@@ -136,6 +136,10 @@ def test_masks_yield_each_root_once_in_order(seed):
         ("(p & ~p) | q", 1, "q"),
         ("q | (p & ~p)", 1, "q"),
         ("((p | ~p) -> q) -> r", 3, None),
+        # A negation of `full` is 0, and one of 0 is `full`.
+        ("~(p & ~p) -> q", 1, "q"),
+        ("~(p | ~p) | q", 1, "q"),
+        ("~~(p | ~p) -> q", 1, "q"),
         # The fold skips a root's mask when it is `full` or the models so far.
         ("(p | ~p) -> q, (r | ~r) -> q", 2, "q"),
         ("q, p | ~p", 1, "q"),
