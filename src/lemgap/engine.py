@@ -636,8 +636,8 @@ class _Saturation:
     def offer(self, conclusion: int, step: int) -> None:
         """Record `conclusion` as a candidate of this round, or count a
         dedup hit. It fits `max_size`: an axiom does (`AxiomTooLarge`),
-        `seed` tests each LEM instance, and every other conclusion offered
-        is a proper subformula of a theorem."""
+        `seed` offers only the LEM instances that fit, and every other
+        conclusion offered is a proper subformula of a theorem."""
         if conclusion in self.position or conclusion in self.candidates:
             self.dedup_hits += 1
             return
@@ -690,10 +690,13 @@ class _Saturation:
             self.applications += 1
             store = self.store
             lem = _pack(RuleKind.LEM_AXIOM)
-            for x in self.universe:
-                instance = store._intern_binary(OR, x, store._neg(x))
-                if self.sizes[instance] <= self.max_size:
-                    self.offer(instance, lem)
+            # `x | ~x` has size 2 + 2 * size(x), and the universe is sorted
+            # by size: the first instance that does not fit ends the loop,
+            # before it or its `~x` is interned.
+            for x, x_size in zip(self.universe, self.universe_sizes):
+                if 2 + 2 * x_size > self.max_size:
+                    break
+                self.offer(store._intern_binary(OR, x, store._neg(x)), lem)
         self.admit_generation(0)
 
     def run_mp(self, delta: range) -> None:

@@ -554,6 +554,27 @@ def test_saturate_lem_instances_respect_size_bound():
     assert set(result.theorems) == naive_closure(system)
 
 
+def test_lem_seeding_interns_only_the_instances_that_fit():
+    # S9's axioms at size 7. The universe, sorted by size, is `p`, `q`,
+    # `r`, `s`, `~p`, `~s`, then `q -> r` and three larger formulas. An
+    # instance `x | ~x` has size 2 + 2 * size(x), so only the six members
+    # of size at most 2 have one that fits, and seeding stops at `q -> r`
+    # without interning anything for it or the members after it. The
+    # store's 10 nodes gain 9: the five instances other than the axioms'
+    # `p | ~p`, and `~q`, `~r`, `~~p` and `~~s`. Interning an instance and
+    # its `~x` for every member would make 27.
+    doc = {**S9, "rules": ["MP", "LEM_AXIOM"], "bounds": {"max_formula_size": 7}}
+    system = load_system(json.dumps(doc))
+    assert len(system.store) == 10
+    result = saturate(system)
+    assert theorem_texts(result, system.store) == [
+        "p", "q -> r", "p | ~p", "q | ~q", "r | ~r", "s | ~s", "~s -> r",
+        "(p | ~p) -> q", "~p | ~~p", "~s | ~~s", "q", "r",
+    ]
+    assert result.stats == Stats(3, True, 3, 0)
+    assert len(system.store) == 19
+
+
 def test_saturate_side_formulas_feed_the_universe():
     system = load_system(
         json.dumps({"axioms": [], "side_formulas": ["p"], "rules": ["LEM_AXIOM"]})

@@ -22,7 +22,7 @@ from lemgap.oracle import (
     independent,
 )
 
-from support import assignments_over, brute_force_entails, truth_value
+from support import assignments_over, brute_force_entails, random_formula, truth_value
 from test_formula import intern_shape, shapes
 
 
@@ -102,9 +102,9 @@ def test_masks_yield_each_root_once_in_order(seed):
     atom_mask = {name: oracle._atom_mask(i, n) for i, name in enumerate(names)}.__getitem__
     full = (1 << (1 << n)) - 1
     given = [f.index for f in roots] + [roots[0].index]
-    models = oracle._models(given, atom_mask, full, store)
-    masks = [oracle._models((f.index,), atom_mask, full, store) for f in roots]
-    assert oracle._models((), atom_mask, full, store) == full
+    models = oracle._models(oracle._fold(given, store), atom_mask, full)
+    masks = [oracle._models(oracle._fold((f.index,), store), atom_mask, full) for f in roots]
+    assert oracle._models(oracle._fold((), store), atom_mask, full) == full
     for j in range(1 << n):
         assignment = {name: bool(j >> i & 1) for i, name in enumerate(names)}
         values = [truth_value(f, assignment, store) for f in roots]
@@ -117,34 +117,40 @@ def test_masks_yield_each_root_once_in_order(seed):
     ("texts", "operations", "passed_on"),
     [
         # Complementary children, either side negated, under each connective.
-        ("p | ~p", 1, "full"),
-        ("~p | p", 1, "full"),
-        ("~p & p", 1, None),
-        ("p & ~p", 1, None),
+        ("p | ~p", 0, "full"),
+        ("~p | p", 0, "full"),
+        ("~p & p", 0, None),
+        ("p & ~p", 0, None),
         ("p -> ~p", 1, None),
-        ("~p -> p", 1, "p"),
+        ("~p -> p", 0, "p"),
         ("p -> p", 0, "full"),
-        # A child of all assignments (`full` itself) or of none, on either side.
-        ("(p | ~p) -> q", 1, "q"),
-        ("(p & ~p) -> q", 1, "full"),
-        ("q -> (p | ~p)", 1, "full"),
-        ("q -> (p & ~p)", 3, None),
-        ("(p | ~p) & q", 1, "q"),
-        ("q & (p | ~p)", 1, "q"),
-        ("(p | ~p) | q", 1, "full"),
-        ("q | (p | ~p)", 1, "full"),
-        ("(p & ~p) | q", 1, "q"),
-        ("q | (p & ~p)", 1, "q"),
-        ("((p | ~p) -> q) -> r", 3, None),
-        # A negation of `full` is 0, and one of 0 is `full`.
-        ("~(p & ~p) -> q", 1, "q"),
-        ("~(p | ~p) | q", 1, "q"),
-        ("~~(p | ~p) -> q", 1, "q"),
-        # The fold skips a root's mask when it is `full` or the models so far.
-        ("(p | ~p) -> q, (r | ~r) -> q", 2, "q"),
-        ("q, p | ~p", 1, "q"),
-        ("p | ~p, q", 1, "q"),
+        # A child true in every assignment or in none, on either side.
+        ("(p | ~p) -> q", 0, "q"),
+        ("(p & ~p) -> q", 0, "full"),
+        ("q -> (p | ~p)", 0, "full"),
+        ("q -> (p & ~p)", 1, None),
+        ("(p | ~p) & q", 0, "q"),
+        ("q & (p | ~p)", 0, "q"),
+        ("(p | ~p) | q", 0, "full"),
+        ("q | (p | ~p)", 0, "full"),
+        ("(p & ~p) | q", 0, "q"),
+        ("q | (p & ~p)", 0, "q"),
+        ("((p | ~p) -> q) -> r", 2, None),
+        # A negation of a settled child is settled.
+        ("~(p & ~p) -> q", 0, "q"),
+        ("~(p | ~p) | q", 0, "q"),
+        ("~~(p | ~p) -> q", 0, "q"),
+        # Children are compared as settled: `q & ~q`, and `~q | q` with
+        # `~q` written `q -> (p & ~p)`.
+        ("((p | ~p) -> q) & ~q", 0, None),
+        ("(q -> (p & ~p)) | q", 0, "full"),
+        # A requested formula that is true is dropped, and two settled to
+        # the same open formula are one.
+        ("(p | ~p) -> q, (r | ~r) -> q", 0, "q"),
+        ("q, p | ~p", 0, "q"),
+        ("p | ~p, q", 0, "q"),
         ("p | q, q | r", 3, None),
+        ("p & q, (r | ~r) -> p", 2, None),
         # Near misses and plain nodes take the 2**n-bit operations.
         ("p | ~q", 2, None),
         ("~p | q", 2, None),
@@ -158,9 +164,10 @@ def test_models_settles_complementary_and_constant_children_without_mask_operati
     texts, operations, passed_on
 ):
     # Every mask is an int subclass that counts the bitwise operations it
-    # takes part in, each one a 2**n-bit operation on real tables. A node
-    # settled by its children's shape or by `full` or 0 costs none, and
-    # passes a child's mask object, or `full`, on as itself.
+    # takes part in, each one a 2**n-bit operation on real tables. A
+    # subformula the fold settles costs none, passes an open subformula's
+    # mask object, or `full`, on as itself, and reads no atom of its own:
+    # in these rows the atoms read are exactly those the models depend on.
     counted = []
 
     class Mask(int):
@@ -180,13 +187,73 @@ def test_models_settles_complementary_and_constant_children_without_mask_operati
     n = len(names)
     masks = {name: Mask(oracle._atom_mask(i, n)) for i, name in enumerate(names)}
     masks["full"] = Mask((1 << (1 << n)) - 1)
-    models = oracle._models([f.index for f in roots], masks.__getitem__, masks["full"], store)
+    read = []
+
+    def atom_mask(name):
+        read.append(name)
+        return masks[name]
+
+    fold = oracle._fold([f.index for f in roots], store)
+    models = oracle._models(fold, atom_mask, masks["full"])
     assert len(counted) == operations, counted
     if passed_on is not None:
         assert models is masks[passed_on]
+    holds = {}
     for j in range(1 << n):
         assignment = {name: bool(j >> i & 1) for i, name in enumerate(names)}
-        assert bool(models >> j & 1) is all(truth_value(f, assignment, store) for f in roots)
+        holds[j] = all(truth_value(f, assignment, store) for f in roots)
+        assert bool(models >> j & 1) is holds[j]
+    relevant = {
+        name for i, name in enumerate(names) if any(holds[j] != holds[j ^ 1 << i] for j in holds)
+    }
+    assert sorted(read) == sorted(fold.support) == sorted(relevant)
+
+
+@pytest.mark.parametrize(
+    ("text", "most"),
+    [
+        # The operand of larger need first: the right one here, so `p` is
+        # not held through `q & (r & s)`.
+        ("p & (q & (r & s))", 3),
+        ("((p & q) & r) & s", 3),
+        # Equal needs go left first. `r & r` reads one mask where `p & q`
+        # reads two, so `p & q` is done before `r & r`'s mask is held.
+        ("(p & q) | (r & r)", 3),
+    ],
+)
+def test_models_holds_the_fewest_masks_at_once(text, most):
+    # Every mask the walk makes or reads is an int subclass that counts
+    # the masks alive at once; `full` is held by the test and not counted.
+    live = [0, 0]
+
+    class Mask(int):
+        def __new__(cls, value):
+            live[0] += 1
+            live[1] = max(live[1], live[0])
+            return int.__new__(cls, value)
+
+        def __del__(self):
+            live[0] -= 1
+
+        def _making(name):
+            def operation(self, other):
+                return Mask(getattr(int, name)(self, other))
+            return operation
+
+        __and__, __rand__, __or__, __ror__, __xor__, __rxor__ = map(
+            _making, ("__and__", "__rand__", "__or__", "__ror__", "__xor__", "__rxor__")
+        )
+
+    store = FormulaStore()
+    f = parse(text, store)
+    names = atoms_of(f, store)
+    n = len(names)
+    full = (1 << (1 << n)) - 1
+    fold = oracle._fold((f.index,), store)
+    models = oracle._models(fold, lambda name: Mask(oracle._atom_mask(names.index(name), n)), full)
+    assert live[1] == most
+    del models
+    assert live[0] == 0
 
 
 def test_classify_examples():
@@ -310,6 +377,7 @@ def test_entailment_brute_force_monotone_and_countermodel(
         model = verdict.countermodel
         assert all(evaluate(ax, model, store) for ax in axioms)
         assert evaluate(goal, model, store) is False
+    assert verdict.countermodel == _lowest_violation(axioms, goal, store)
 
     # The store keeps the table of the last axiom set it was asked about.
     # Switching sets (A, B, then A again) and asking for a goal with an
@@ -329,9 +397,76 @@ def test_entailment_brute_force_monotone_and_countermodel(
         answer = entails(query_axioms, query_goal, store)
         assert answer == _entailment_in_fresh_store(query_shapes, goal_shape, widen)
         assert answer.holds == brute_force_entails(query_axioms, query_goal, store)
+        assert answer.countermodel == _lowest_violation(query_axioms, query_goal, store)
         if not answer.holds:
             names = {n for f in (*query_axioms, query_goal) for n in atoms_of(f, store)}
             assert answer.countermodel.keys() == names
+        assert independent(query_axioms, query_goal, store) == _brute_force_independent(
+            query_axioms, query_goal, store
+        )
+
+
+def _lowest_violation(axioms, goal, store):
+    """The lowest-numbered assignment satisfying every axiom and falsifying
+    the goal, or None; assignment j gives the i-th of the sorted atoms
+    bit i of j."""
+    names = sorted({n for f in (*axioms, goal) for n in atoms_of(f, store)})
+    for j in range(1 << len(names)):
+        assignment = {name: bool(j >> i & 1) for i, name in enumerate(names)}
+        if all(truth_value(ax, assignment, store) for ax in axioms):
+            if not truth_value(goal, assignment, store):
+                return assignment
+    return None
+
+
+def _brute_force_independent(axioms, x, store):
+    names = sorted({n for f in (*axioms, x) for n in atoms_of(f, store)})
+    return {
+        truth_value(x, assignment, store)
+        for assignment in assignments_over(names)
+        if all(truth_value(ax, assignment, store) for ax in axioms)
+    } == {False, True}
+
+
+def test_entails_and_independent_match_brute_force_on_lbi_shaped_axioms():
+    # Axioms drawn with near misses of the LBI antecedent `~x | x`, and the
+    # antecedent itself, so the fold settles parts of them. Queries over
+    # the axioms' atoms, over fresh atoms, over both, and settled ones
+    # (`f | ~f`, `f & ~f`, a pivot's `(x | ~x) -> y`), asked of one store
+    # in turn, so its kept table is reused. Every answer, countermodel
+    # included, is the brute-force one. The draws cover both ways a query
+    # is answered: over the axioms' assignments, and factored, when the
+    # query's support misses the models'.
+    answered = {"factored": 0, "shared": 0, "settled": 0}
+    for seed in range(150):
+        rng = random.Random(seed)
+        store = FormulaStore()
+        atoms = ("p", "q", "r")
+        axioms = tuple(
+            random_formula(rng, atoms, rng.randint(1, 9), store, near_misses=True)
+            for _ in range(rng.randint(0, 3))
+        )
+        f = random_formula(rng, atoms, rng.randint(1, 7), store, near_misses=True)
+        x, y = store.atom("x"), store.atom("y")
+        queries = [
+            f,
+            random_formula(rng, ("x", "y"), rng.randint(1, 7), store, near_misses=True),
+            random_formula(rng, ("p", "x", "y"), rng.randint(1, 9), store, near_misses=True),
+            store.disj(f, store.neg(f)),
+            store.conj(store.neg(f), f),
+            store.impl(store.disj(x, store.neg(x)), y),
+        ]
+        for query in queries:
+            table, own, _ = oracle._query(axioms, query, store)
+            answered["shared" if own.position is table.position else "factored"] += 1
+            answered["settled"] += oracle._fold((query.index,), store).roots in ((), (-2,))
+            answer = entails(axioms, query, store)
+            assert answer.countermodel == _lowest_violation(axioms, query, store)
+            assert answer.holds is (answer.countermodel is None)
+            assert independent(axioms, query, store) == _brute_force_independent(
+                axioms, query, store
+            )
+    assert min(answered.values()) >= 100, answered
 
 
 def test_too_many_atoms_counts_axioms_and_query():
@@ -354,13 +489,16 @@ def test_too_many_atoms_counts_axioms_and_query():
 
 
 def test_family_report_builds_the_axiom_table_once(monkeypatch):
-    # 20 queries (one `entails` of the conclusion, then one `independent`
-    # per pivot for 19 pivots) over the same 20-atom axioms: one table, so
-    # one mask per atom in all.
+    # 20 queries over the same 20-atom axioms `(p_i | ~p_i) -> q`: one
+    # `entails` of the conclusion `q`, then one `independent` per pivot
+    # for 19 pivots. Each axiom folds to `q`, so the table builds one
+    # 2**20-bit atom mask, `q`'s, at position 19, and its models are that
+    # mask. No pivot reads an atom the models depend on, so each is
+    # answered over its own one atom, a 2-bit table.
     calls = []
 
     def counting(position, n_atoms):
-        calls.append(position)
+        calls.append((position, n_atoms))
         return atom_mask(position, n_atoms)
 
     atom_mask = oracle._atom_mask
@@ -368,7 +506,7 @@ def test_family_report_builds_the_axiom_table_once(monkeypatch):
     report = gap_report(demo_family(19))
     assert [m.verification.oracle_entailed for m in report.gap] == [True]
     assert report.gap[0].verification.pivot_independent_semantically is True
-    assert sorted(calls) == list(range(20))
+    assert calls == [(19, 20)] + [(0, 1)] * 19
 
 
 def test_a_query_over_the_axioms_own_atoms_reuses_their_table(monkeypatch):
