@@ -590,7 +590,10 @@ class _Saturation:
     conjunctions AND_INTRO did not derive are the ones that came through
     `offer` (every rule but AND_INTRO and OR_INTRO offers its conclusions
     there, and OR_INTRO's are disjunctions); AND_ELIM opens only those and
-    counts the rest in bulk (see `Stats`). LBI_RULE and CASE_SPLIT match
+    counts the rest in bulk (see `Stats`). AND_INTRO and OR_INTRO, the
+    joins that derive nearly all of a wide run, intern in place: each
+    looks its conclusions up in the store's table for its kind, and
+    records a node new to the store at once. LBI_RULE and CASE_SPLIT match
     with `_lbi_shapes` and `_case_splits`, which `gap.lbi_accepted` uses
     too; CASE_SPLIT finds its partner premise by a lookup in the store's
     tables. `_conclusions` stays the independent definition that
@@ -637,7 +640,11 @@ class _Saturation:
         """Record `conclusion` as a candidate of this round, or count a
         dedup hit. It fits `max_size`: an axiom does (`AxiomTooLarge`),
         `seed` offers only the LEM instances that fit, and every other
-        conclusion offered is a proper subformula of a theorem."""
+        conclusion offered is a proper subformula of a theorem. The
+        AND_INTRO and OR_INTRO joins do not call it: they make the same
+        check on a conclusion they find in the store's tables, and skip it
+        for a node they append, which can be neither a theorem nor a
+        candidate."""
         if conclusion in self.position or conclusion in self.candidates:
             self.dedup_hits += 1
             return
@@ -721,11 +728,14 @@ class _Saturation:
         # Every pair (i, j) with i or j in delta whose conjunction fits,
         # size(i) + size(j) < max_size, in ascending order: an i before delta
         # pairs with the delta theorems within its budget, an i in delta with
-        # every theorem within it. Each conjunction fits, as `offer` expects;
-        # its dedup check is inlined.
+        # every theorem within it. Each conjunction fits, as `offer` expects.
+        # The join interns in place, by the store's AND table: a key it
+        # misses is a node new to the store, appended by `_add` and recorded
+        # at once, as it can be neither a theorem nor a candidate; a hit
+        # takes `offer`'s dedup check.
         theorems, sizes = self.theorems, self.sizes
         position, candidates = self.position, self.candidates
-        intern = self.store._intern_binary
+        find, add = self.store._tables[AND].get, self.store._add
         start = delta.start
         in_delta = [bucket[bisect_left(bucket, start):] for bucket in self.upto]
         and_intro = _pack(RuleKind.AND_INTRO)
@@ -736,9 +746,15 @@ class _Saturation:
             partners = self.upto[budget] if i >= start else in_delta[budget]
             self.applications += len(partners)
             first = and_intro | i << _FIRST
+            high, left_size = left << 32, 1 + sizes[left]
             for j in partners:
-                conclusion = intern(AND, left, theorems[j])
-                if conclusion in position or conclusion in candidates:
+                right = theorems[j]
+                key = high | right
+                conclusion = find(key)
+                if conclusion is None:
+                    candidates[add(AND, key, left, right, left_size + sizes[right])] = (
+                        first | j << _SECOND)
+                elif conclusion in position or conclusion in candidates:
                     dedup_hits += 1
                 else:
                     candidates[conclusion] = first | j << _SECOND
@@ -771,10 +787,13 @@ class _Saturation:
         sorts each generation by size, so they are a prefix of delta, found
         by bisection; the rest are counted without a loop (S9 tries 6,300
         of its 110,747 theorems). Each disjunction tried fits the budget, as
-        `offer` expects; as in run_and_intro its dedup check is inlined."""
+        `offer` expects. As in run_and_intro, the join interns in place, by
+        the store's OR table: `phi | sigma`, then `sigma | phi`, each
+        recorded at once when new to the store and checked for dedup when
+        found."""
         theorems, sizes = self.theorems, self.sizes
         position, candidates = self.position, self.candidates
-        intern = self.store._intern_binary
+        find, add = self.store._tables[OR].get, self.store._add
         self.applications += len(delta)
         smallest = self.universe_sizes[0] if self.universe_sizes else self.max_size
         fitting = bisect_right(
@@ -786,14 +805,26 @@ class _Saturation:
             phi = theorems[i]
             budget = self.max_size - 1 - sizes[phi]
             step = or_intro | i << _FIRST
+            high, phi_size = phi << 32, 1 + sizes[phi]
             for sigma, sigma_size in zip(self.universe, self.universe_sizes):
                 if sigma_size > budget:
                     break
-                for conclusion in (intern(OR, phi, sigma), intern(OR, sigma, phi)):
-                    if conclusion in position or conclusion in candidates:
-                        dedup_hits += 1
-                    else:
-                        candidates[conclusion] = step
+                key = high | sigma
+                conclusion = find(key)
+                if conclusion is None:
+                    candidates[add(OR, key, phi, sigma, phi_size + sigma_size)] = step
+                elif conclusion in position or conclusion in candidates:
+                    dedup_hits += 1
+                else:
+                    candidates[conclusion] = step
+                key = sigma << 32 | phi
+                conclusion = find(key)
+                if conclusion is None:
+                    candidates[add(OR, key, sigma, phi, phi_size + sigma_size)] = step
+                elif conclusion in position or conclusion in candidates:
+                    dedup_hits += 1
+                else:
+                    candidates[conclusion] = step
         self.dedup_hits += dedup_hits
 
     def run_lbi(self, delta: range) -> None:

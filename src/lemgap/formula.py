@@ -115,6 +115,11 @@ class FormulaStore:
     index, or `left << 32 | right` over the child indices, to the node's
     index. That key is unique while every index is below 2**32; a store of
     2**32 nodes would need hundreds of GB, so the bound is never reached.
+    `_add` is the one place a node is appended, with its key. Every
+    interning path looks the key up first and calls `_add` only on a
+    miss: `_atom`, `_neg` and `_intern_binary` (behind the constructors,
+    the parser, LEM seeding and `apply_rule`), and saturation's AND_INTRO
+    and OR_INTRO joins, which look their keys up in place.
 
     Children always precede parents: a node is interned only after its
     children, so every child index is below its parent's. This invariant
@@ -183,6 +188,8 @@ class FormulaStore:
         return list(map(tuple.__new__, itertools.repeat(FormulaId), pairs))
 
     def _add(self, kind: int, key: object, left: int, right: int, node_size: int) -> int:
+        """Append a node that its kind's table does not hold under `key`,
+        and return its index."""
         i = self._tables[kind][key] = len(self._kinds)
         self._kinds.append(kind)
         self._lefts.append(left)

@@ -14,12 +14,13 @@ Prints one line per survivor, `module:line: source line  (old -> new)`,
 then the counts. Stdlib only, though tier-1 itself needs pytest and
 hypothesis; not part of tier-1 or CI. Run it from anywhere with
 
-    python tests/mutants.py [module ...]
+    python tests/mutants.py [module[:function,...] ...]
 
 where a module is a file of `src/lemgap/`, such as `oracle.py` (all of
-them by default). A run over `oracle.py formula.py engine.py`, about 200
-mutants, takes about 25 minutes on two cores: a mutant that survives
-runs the whole suite.
+them by default). `engine.py:run_and_intro,run_or_intro` flips only the
+operators inside the functions or methods of those names. A run over
+`oracle.py formula.py engine.py`, about 200 mutants, takes about 25
+minutes on two cores: a mutant that survives runs the whole suite.
 """
 
 from __future__ import annotations
@@ -50,26 +51,38 @@ _TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
           "--continue-on-collection-errors"]
 
 
-def _sites(tree: ast.AST) -> list[tuple[ast.AST, int]]:
+def _sites(tree: ast.AST, functions: frozenset[str] | None = None) -> list[tuple[ast.AST, int]]:
     """Each flippable operator of the tree, in `ast.walk` order: a
     comparison node with the position of one of its operators, or a
-    boolean node with -1."""
+    boolean node with -1. With `functions`, only the operators inside a
+    function or method of one of those names."""
+    roots = [tree] if functions is None else [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in functions
+    ]
     sites = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Compare):
-            sites += [(node, k) for k in range(len(node.ops))]
-        elif isinstance(node, ast.BoolOp):
-            sites.append((node, -1))
+    for root in roots:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Compare):
+                sites += [(node, k) for k in range(len(node.ops))]
+            elif isinstance(node, ast.BoolOp):
+                sites.append((node, -1))
     return sites
 
 
-def mutants(text: str):
+def _functions(tree: ast.AST) -> set[str]:
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def mutants(text: str, functions: frozenset[str] | None = None):
     """(line, old, new, source) for each one-operator mutant of a module's
-    text: the line of the flipped operator's expression, the operator
-    before and after, and the mutant module's source."""
-    for m, (node, _) in enumerate(_sites(ast.parse(text))):
+    text, or of the named functions in it: the line of the flipped
+    operator's expression, the operator before and after, and the mutant
+    module's source."""
+    for m, (node, _) in enumerate(_sites(ast.parse(text), functions)):
         tree = ast.parse(text)  # a fresh tree to flip, holding the same sites
-        target, k = _sites(tree)[m]
+        target, k = _sites(tree, functions)[m]
         old = type(target.op if k < 0 else target.ops[k])
         if k < 0:
             target.op = _FLIPS[old]()
@@ -90,10 +103,18 @@ def _tier1(copy: Path, timeout: float) -> bool:
 
 
 def main(names: list[str]) -> int:
-    paths = [PACKAGE / name for name in names] or sorted(PACKAGE.glob("*.py"))
-    for path in paths:
+    # Each module's path -> the names of the functions to mutate, or None.
+    targets = {PACKAGE / name: frozenset(functions.split(",")) if functions else None
+               for name, _, functions in (name.partition(":") for name in names)}
+    targets = targets or dict.fromkeys(sorted(PACKAGE.glob("*.py")))
+    paths = list(targets)
+    for path, functions in targets.items():
         if not path.is_file():
             print(f"no module {path.name} in {PACKAGE}", file=sys.stderr)
+            return 2
+        missing = sorted((functions or set()) - _functions(ast.parse(path.read_text("utf-8"))))
+        if missing:
+            print(f"no function {', '.join(missing)} in {path.name}", file=sys.stderr)
             return 2
     with tempfile.TemporaryDirectory() as directory:
         copy = Path(directory) / "checkout"
@@ -111,7 +132,7 @@ def main(names: list[str]) -> int:
         for path, text in texts.items():
             target = copy / path.relative_to(ROOT)
             lines = text.splitlines()
-            for line, old, new, source in mutants(text):
+            for line, old, new, source in mutants(text, targets[path]):
                 count += 1
                 target.write_text(source, encoding="utf-8")
                 if _tier1(copy, timeout):

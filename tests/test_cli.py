@@ -586,6 +586,18 @@ def test_emit_writes_a_row_table_longer_than_a_chunk_in_chunks():
     assert len(writes) == 2  # the full chunk, then the rest
 
 
+def test_emit_writes_a_long_list_one_full_chunk_at_a_time():
+    # Each full chunk is written as soon as it is done, so the pieces never
+    # hold more than one chunk; the closing bracket is written last.
+    doc = ["x"] * (3 * cli._CHUNK)
+    writes = []
+    out = io.StringIO()
+    out.write = writes.append
+    cli._emit(doc, out)
+    assert "".join(writes) == json.dumps(doc, indent=2) + "\n"
+    assert [piece.count('"x"') for piece in writes] == [cli._CHUNK] * 3 + [0]
+
+
 @pytest.mark.parametrize(
     "doc", [1.5, (1, 2), {1: "a"}, {"a": [{"b": {None: 1}}]}, [b"x"], {"s": {"x"}}]
 )

@@ -480,6 +480,65 @@ def test_saturate_matches_naive_closure_with_split_rules():
         assert set(result.theorems) == naive_closure(system), system_document(system)
 
 
+def assert_hash_consed(store):
+    """Each kind's table maps exactly the nodes of that kind back to
+    themselves, no two nodes share their kind and children, children
+    precede parents and every size is its children's plus one."""
+    kinds, lefts, rights, sizes = store._kinds, store._lefts, store._rights, store._sizes
+    for kind, table in enumerate(store._tables):
+        assert sorted(table.values()) == [i for i, k in enumerate(kinds) if k == kind]
+    shapes = [shape for shape in zip(kinds, lefts, rights) if shape[0] != formula.ATOM]
+    assert len(set(shapes)) == len(shapes)
+    for i, (kind, left, right) in enumerate(zip(kinds, lefts, rights)):
+        if kind == formula.NOT:
+            assert store._tables[kind][left] == i and left < i
+            assert sizes[i] == 1 + sizes[left]
+        elif kind != formula.ATOM:
+            assert store._tables[kind][left << 32 | right] == i and max(left, right) < i
+            assert sizes[i] == 1 + sizes[left] + sizes[right]
+
+
+@pytest.mark.parametrize(
+    "seed, count, extra_rules",
+    [(123, 40, frozenset()), (2309, 200, frozenset({RuleKind.LBI_RULE, RuleKind.CASE_SPLIT}))],
+    ids=["base-rules", "split-rules"],
+)
+def test_saturate_keeps_the_store_hash_consed(seed, count, extra_rules):
+    # AND_INTRO and OR_INTRO intern in place. A second run on the same
+    # store finds every conclusion in the tables, as the closure run of a
+    # gap report does: it adds no node and returns the same result.
+    rng = random.Random(seed)
+    for _ in range(count):
+        system = random_system(rng, extra_rules=extra_rules)
+        first = saturate(system)
+        assert_hash_consed(system.store)
+        nodes = len(system.store)
+        assert saturate(system) == first
+        assert len(system.store) == nodes
+
+
+def test_and_intro_and_or_intro_take_every_branch_of_their_joins():
+    # Round 1, over the atoms: AND_INTRO's `p & p` hits a theorem and
+    # `p & q`, interned before the run, a node that is no theorem yet;
+    # `q & p` and `q & q` are new to the store. OR_INTRO's `p | p` hits a
+    # theorem twice, `p | q` is new and `q | p` hits the node interned
+    # before the run; from q, `q | p` and `p | q` hit this round's
+    # candidates, and `q | q` is new, then hit by its mirror. Dedup hits:
+    # 1 + 2 + 2 + 1. Round 2 has nothing that fits.
+    system = mk_system(["p", "q", "p & p", "p | p"], [RuleKind.AND_INTRO, RuleKind.OR_INTRO],
+                       atoms=("p", "q"), max_formula_size=3)
+    store = system.store
+    interned = [parse("p & q", store), parse("q | p", store)]
+    result = saturate(system)
+    assert theorem_texts(result, store) == [
+        "p", "q", "p & p", "p | p", "p & q", "p | q", "q & p", "q & q", "q | p", "q | q"
+    ]
+    assert [result.index_of(f) for f in interned] == [4, 8]
+    assert result.stats == Stats(2, True, 14, 6)
+    assert len(store) == 10
+    assert_hash_consed(store)
+
+
 def test_saturate_monotone_in_rules():
     rng = random.Random(99)
     pool = list(RuleKind)
