@@ -24,24 +24,27 @@ are the formula's support; the atoms only a settled subformula reads are
 not looked up. `evaluate` settles nothing, so it looks up every atom of
 its formula, in the walk's order.
 
-A table's atom mask is built the first time a walk reads the atom.
-`entails` and `independent` keep, per store, the table of the last axiom
-set they were asked about: the masks built so far, the models mask, the
-all-assignments mask and the models' support. That is at most (n + 2) *
-2**n bits for n atoms (about 2.9 MB at 20), and for the EQ1 family, whose
-axioms `(x | ~x) -> q` all fold to `q`, one mask (`q`'s, which is also
-the models mask) beside the all-assignments mask. A store's table is
-dropped with the store.
+A table spans the support of what it evaluates, not every atom its
+formulas name, and builds an atom's mask the first time a walk reads the
+atom. `entails` and `independent` keep, per store, the table of the last
+axiom set they were asked about: the masks built so far, the models
+mask, the all-assignments mask, the models' support and the named atoms.
+It spans the models' support, widened by a query's support when the two
+share an atom. That is at most (n + 2) * 2**n bits for a support of n
+atoms (about 2.9 MB at 20), and for the EQ1 family, whose axioms `(x |
+~x) -> q` all fold to `q`, 2 bits over `q`. A store's table is dropped
+with the store.
 
 Each query is folded first. When its support shares no atom with the
 models' support, the answer factors: whether some model falsifies (or
 satisfies) the query is whether the axioms have a model and some
 assignment of the query's own support falsifies (satisfies) it. Its mask
 is then taken over its support alone, and a settled query needs no mask
-at all. Every other query is evaluated over the axioms' table, or, when
-it has atoms the table lacks, over a one-off table of the axioms' and
-its atoms together. An atom mask a query builds in the kept table
-stays there; its other masks are not kept.
+at all. A query whose support lies inside the kept table is evaluated
+there; any other query first has the kept table rebuilt over the models'
+and its own support together. An atom mask a query builds in the kept
+table stays there; its other masks are not kept. The atom limit counts
+every atom the axioms and the query name, before any table is built.
 
 No query interns a formula; changing a store's table is the only
 change they make. That table is not thread-safe; give each thread its
@@ -54,7 +57,7 @@ import enum
 import weakref
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .formula import AND, ATOM, IMPLIES, NOT, OR, FormulaId, FormulaStore, _atom_names, _closure
+from .formula import AND, ATOM, IMPLIES, NOT, OR, FormulaId, FormulaStore, _closure
 
 __all__ = [
     "ATOM_LIMIT",
@@ -134,6 +137,7 @@ class _Fold(NamedTuple):
     need: dict[int, int]  # open subformula -> masks its evaluation holds at once
     readers: dict[int, int]  # read open subformula -> its open readers, plus one per root
     support: frozenset[str]  # the atoms the read open subformulas include
+    names: frozenset[str]  # every atom the formulas name
 
 
 def _fold(indices: Iterable[int], store: FormulaStore, settle: bool = True) -> _Fold:
@@ -159,8 +163,9 @@ def _fold(indices: Iterable[int], store: FormulaStore, settle: bool = True) -> _
     A descending pass from the requested formulas then finds the open
     subformulas the evaluation reaches, and counts each one's reads: one
     per reached operation that names it, plus one if a requested formula
-    was settled to it. Their atoms are the support. A formula given
-    twice, or two settled to the same open one, is evaluated once.
+    was settled to it. Their atoms are the support; every atom of the
+    closure is named. A formula given twice, or two settled to the same
+    open one, is evaluated once.
     """
     kinds, lefts, rights, names = store._kinds, store._lefts, store._rights, store._names
     indices = list(indices)
@@ -168,10 +173,12 @@ def _fold(indices: Iterable[int], store: FormulaStore, settle: bool = True) -> _
     same: dict[int, int] = {}  # subformula -> _TRUE, _FALSE or the open one it equals
     ops: dict[int, _Op] = {}
     need: dict[int, int] = {}
+    named = []
     for i in closure:
         kind = kinds[i]
         if kind == ATOM:
             same[i], ops[i], need[i] = i, (ATOM, names[i], None), 1
+            named.append(names[i])
             continue
         a = same[lefts[i]]
         b = None if kind == NOT else same[rights[i]]
@@ -215,7 +222,7 @@ def _fold(indices: Iterable[int], store: FormulaStore, settle: bool = True) -> _
             readers[a] = readers.get(a, 0) + 1
             if b is not None:
                 readers[b] = readers.get(b, 0) + 1
-    return _Fold(roots, ops, need, readers, frozenset(support))
+    return _Fold(roots, ops, need, readers, frozenset(support), frozenset(named))
 
 
 def _models(fold: _Fold, atom_mask: Callable[[str], int], full: int) -> int:
@@ -292,7 +299,8 @@ def _atom_mask(position: int, n_atoms: int) -> int:
 
 
 class _Table(NamedTuple):
-    """The models of some formulas over a fixed, sorted list of atoms."""
+    """The models of some formulas over a fixed, sorted list of atoms: their
+    support, or a wider one."""
 
     axioms: tuple[FormulaId, ...]
     full: int  # every assignment's bit set
@@ -300,6 +308,7 @@ class _Table(NamedTuple):
     atom_masks: dict[str, int]  # atom name -> truth mask, for the atoms read so far
     models: int  # assignments satisfying every axiom
     support: frozenset[str]  # the atoms the models depend on (`_Fold.support`)
+    names: frozenset[str]  # every atom the formulas name (`_Fold.names`)
 
 
 def _reader(position: dict[str, int], masks: dict[str, int]) -> Callable[[str], int]:
@@ -322,7 +331,7 @@ def _table(axioms: tuple[FormulaId, ...], fold: _Fold, names: list[str]) -> _Tab
     masks: dict[str, int] = {}
     full = (1 << (1 << len(names))) - 1
     models = _models(fold, _reader(position, masks), full)
-    return _Table(axioms, full, position, masks, models, fold.support)
+    return _Table(axioms, full, position, masks, models, fold.support, fold.names)
 
 
 # The last axiom table each store was asked about. A store's table goes
@@ -331,19 +340,28 @@ _tables: weakref.WeakKeyDictionary[FormulaStore, _Table] = weakref.WeakKeyDictio
 
 
 def _truth_table(
-    axioms: tuple[FormulaId, ...], extra: tuple[FormulaId, ...], store: FormulaStore
+    axioms: tuple[FormulaId, ...], store: FormulaStore, query: Optional[_Fold] = None
 ) -> _Table:
-    """The axioms' table over their atoms and those of `extra`."""
-    indices = list(map(store._index, (*axioms, *extra)))
-    names = sorted(_atom_names(indices, store))
+    """The axioms' table over their models' support, and over the folded
+    `query`'s support too when the two supports share an atom.
+
+    Every atom the axioms and `query` name is counted against ATOM_LIMIT
+    before any mask is built.
+    """
+    fold = _fold(map(store._index, axioms), store)
+    names, support = fold.names, fold.support
+    if query is not None:
+        names |= query.names
+        if not support.isdisjoint(query.support):
+            support |= query.support
     if len(names) > ATOM_LIMIT:
         raise TooManyAtoms(len(names))
-    return _table(axioms, _fold(indices[:len(axioms)], store), names)
+    return _table(axioms, fold, sorted(support))
 
 
 def classify(f: FormulaId, store: FormulaStore) -> Verdict:
     """Tautology, Contradiction, or Contingent, by exhausting assignments."""
-    table = _truth_table((f,), (), store)  # the models of f alone: its truth mask
+    table = _truth_table((f,), store)  # the models of f alone: its truth mask
     if table.models == table.full:
         return Verdict.TAUTOLOGY
     if table.models == 0:
@@ -353,44 +371,37 @@ def classify(f: FormulaId, store: FormulaStore) -> Verdict:
 
 def _query(
     axioms: tuple[FormulaId, ...], f: FormulaId, store: FormulaStore
-) -> tuple[_Table, _Table, list[str]]:
+) -> tuple[_Table, _Table, frozenset[str]]:
     """The axioms' table, f's table (whose models are f's mask), and the
-    sorted names of all their atoms.
+    names of all their atoms.
 
     Each store keeps the table of the axioms it was last asked about.
     Building a table checks its axioms. Axioms equal to a kept table's,
     but not the same tuple, are checked before it is reused: a plain
     tuple or a forged id can equal an id. The combined atoms are counted
-    against ATOM_LIMIT before anything else is decided.
+    against ATOM_LIMIT before any table over them is built.
 
-    f is folded first. When its support shares no atom with the models',
-    f's table is over its support alone. Otherwise it shares the
-    assignments, and the `position` dict, of the axioms' table: the kept
-    one when f has no other atoms, else a one-off table over the combined
-    atoms.
+    f is folded first, and answered by the first case that fits:
+    - its support shares no atom with the models': f's table is over its
+      support alone;
+    - its support lies inside the kept table's atoms: f shares that
+      table's assignments, and its `position` dict;
+    - otherwise the kept table is rebuilt, and kept, over the models' and
+      f's supports together, and f shares it.
     """
+    fold = _fold((store._index(f),), store)
     table = _tables.get(store)
     if table is None or table.axioms != axioms:
-        try:
-            table = _tables[store] = _truth_table(axioms, (), store)
-        except TooManyAtoms:
-            table = None  # so are the combined atoms, counted below
+        table = _tables[store] = _truth_table(axioms, store, fold)
     elif table.axioms is not axioms:
         list(map(store._index, axioms))
-    index = store._index(f)
-    atoms = _atom_names((index,), store)
-    if table is None:
-        atoms |= _atom_names(map(store._index, axioms), store)
-    else:
-        atoms |= table.position.keys()
-    if len(atoms) > ATOM_LIMIT:
-        raise TooManyAtoms(len(atoms))
-    names = sorted(atoms)
-    fold = _fold((index,), store)
+    names = table.names | fold.names
+    if len(names) > ATOM_LIMIT:
+        raise TooManyAtoms(len(names))
     if fold.support.isdisjoint(table.support):
         return table, _table((f,), fold, sorted(fold.support)), names
-    if len(names) > len(table.position):
-        table = _truth_table(axioms, (f,), store)
+    if not fold.support <= table.position.keys():
+        table = _tables[store] = _truth_table(axioms, store, fold)
     mask = _models(fold, _reader(table.position, table.atom_masks), table.full)
     return table, table._replace(axioms=(f,), models=mask, support=fold.support), names
 
@@ -421,7 +432,7 @@ def entails(axioms: Iterable[FormulaId], f: FormulaId, store: FormulaStore) -> E
         # assignment is the lowest model's bits with f's lowest falsifying
         # assignment's bits, every other atom false.
         true = _true_atoms(table.models, table) | _true_atoms(query.full ^ query.models, query)
-    return Entailment(False, {name: name in true for name in names})
+    return Entailment(False, {name: name in true for name in sorted(names)})
 
 
 def independent(axioms: Iterable[FormulaId], x: FormulaId, store: FormulaStore) -> bool:

@@ -126,6 +126,21 @@ def test_classify_entails_atom_limit_against_system(capsys, tmp_path):
             assert err == f"error: {count} atoms exceed the oracle limit of 20\n"
 
 
+def test_gap_atom_limit_counts_atoms_the_fold_drops(capsys, tmp_path):
+    # EQ1 with 20 pivots: every axiom folds to `q`, but all 21 named
+    # atoms count against the oracle's limit.
+    names = [f"p{i}" for i in range(1, 21)]
+    path = tmp_path / "family20.json"
+    path.write_text(json.dumps({
+        "atoms": [*names, "q"],
+        "axioms": [f"({name} | ~{name}) -> q" for name in names],
+        "rules": ["MP"],
+    }))
+    code, out, err = run(capsys, "gap", "--system", str(path))
+    assert (code, out) == (4, "")
+    assert err == "error: 21 atoms exceed the oracle limit of 20\n"
+
+
 def test_classify_requires_formula_or_flag(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 1

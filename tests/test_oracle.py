@@ -486,15 +486,83 @@ def test_too_many_atoms_counts_axioms_and_query():
         assert excinfo.value.count == ATOM_LIMIT + 1
     assert entails(axioms, parse("x0 -> x19", store), store).holds is True
     assert independent(axioms, parse("x7", store), store) is True
+    # EQ1 with 20 pivots names 21 atoms, though every axiom folds to `q`
+    # and every table it would need spans one atom.
+    with pytest.raises(TooManyAtoms) as excinfo:
+        gap_report(demo_family(ATOM_LIMIT))
+    assert excinfo.value.count == ATOM_LIMIT + 1
+
+
+def test_a_wide_overlapping_query_is_refused_before_any_wide_table(monkeypatch):
+    # The query reads `x0`, which the models depend on, and names 20
+    # atoms more: 22 in all with the axioms' `x1`. The count must refuse
+    # it before a table over the supports' union (22 atoms, 2**22 bits)
+    # is built, both when the store has no table for these axioms yet
+    # and when it keeps one from an earlier query.
+    widths = []
+
+    def recording(axioms, fold, names):
+        widths.append(len(names))
+        assert len(names) <= ATOM_LIMIT, "a table wider than the limit was built"
+        return table(axioms, fold, names)
+
+    table = oracle._table
+    monkeypatch.setattr(oracle, "_table", recording)
+    for warm in (False, True):
+        store = FormulaStore()
+        axioms = (parse("x0 -> x1", store),)
+        wide = parse(" & ".join(["x0", *(f"y{i}" for i in range(ATOM_LIMIT))]), store)
+        if warm:
+            assert entails(axioms, parse("x0 -> x1", store), store).holds is True
+        for check in (entails, independent):
+            with pytest.raises(TooManyAtoms) as excinfo:
+                check(axioms, wide, store)
+            assert excinfo.value.count == ATOM_LIMIT + 2
+    assert widths == [2]
+
+
+def test_the_kept_table_grows_to_an_overlapping_query(monkeypatch):
+    # One store, one axiom set whose models depend on `p` and `q` only
+    # (`r | ~r` folds away). The table is built once over {p, q}; a query
+    # over fresh atoms is factored; one that shares `p` and adds `s`
+    # rebuilds the kept table over {p, q, s}; a query inside that grown
+    # table builds nothing. Every answer is the brute-force one.
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return truth_table(*args)
+
+    truth_table = oracle._truth_table
+    monkeypatch.setattr(oracle, "_truth_table", counting)
+    store = FormulaStore()
+    axioms = (parse("(r | ~r) -> (p -> q)", store), parse("p | q", store))
+    steps = (
+        ("q -> p", 1, ["p", "q"]),
+        ("x & ~y", 0, ["p", "q"]),
+        ("p -> s", 1, ["p", "q", "s"]),
+        ("s & ~q", 0, ["p", "q", "s"]),
+    )
+    for text, built, atoms in steps:
+        before = len(builds)
+        query = parse(text, store)
+        answer = entails(axioms, query, store)
+        assert answer.countermodel == _lowest_violation(axioms, query, store)
+        assert answer.holds is (answer.countermodel is None)
+        assert independent(axioms, query, store) == _brute_force_independent(
+            axioms, query, store
+        )
+        assert len(builds) - before == built, text
+        assert list(oracle._tables[store].position) == atoms, text
 
 
 def test_family_report_builds_the_axiom_table_once(monkeypatch):
     # 20 queries over the same 20-atom axioms `(p_i | ~p_i) -> q`: one
     # `entails` of the conclusion `q`, then one `independent` per pivot
-    # for 19 pivots. Each axiom folds to `q`, so the table builds one
-    # 2**20-bit atom mask, `q`'s, at position 19, and its models are that
-    # mask. No pivot reads an atom the models depend on, so each is
-    # answered over its own one atom, a 2-bit table.
+    # for 19 pivots. Each axiom folds to `q`, so the models' support is
+    # `q` alone and the kept table spans that one atom: 2 bits, not
+    # 2**20. No pivot reads an atom the models depend on, so each is
+    # answered over its own one atom, a 2-bit table too.
     calls = []
 
     def counting(position, n_atoms):
@@ -506,7 +574,9 @@ def test_family_report_builds_the_axiom_table_once(monkeypatch):
     report = gap_report(demo_family(19))
     assert [m.verification.oracle_entailed for m in report.gap] == [True]
     assert report.gap[0].verification.pivot_independent_semantically is True
-    assert calls == [(19, 20)] + [(0, 1)] * 19
+    assert calls == [(0, 1)] * 20
+    table = oracle._tables[report.system.store]
+    assert (table.full, list(table.position)) == (0b11, ["q"])
 
 
 def test_a_query_over_the_axioms_own_atoms_reuses_their_table(monkeypatch):
