@@ -282,9 +282,8 @@ _rule_name = {None: "AXIOM", **{rule: rule.value for rule in RuleKind}}.__getite
 # A run keeps each step as one int: the rule's code, its position in
 # _STEP_LAYOUTS (0 for an axiom), in the low 4 bits, then the first premise
 # position from bit _FIRST and the second from bit _SECOND, 32 bits each.
-# Positions fit, as store indices fit the store's `left << 32 | right`
-# keys: 2**32 theorems would need hundreds of GB. Unlike a tuple, an int is
-# not tracked by the cyclic collector.
+# Positions fit: 2**32 theorems would need hundreds of GB. Unlike a tuple,
+# an int is not tracked by the cyclic collector.
 _STEP_LAYOUTS = tuple((rule, RULE_ARITY.get(rule, 0)) for rule in (None, *RuleKind))
 _STEP_CODE = {rule: code for code, (rule, _) in enumerate(_STEP_LAYOUTS)}
 _CODE_MASK = 15
@@ -592,8 +591,9 @@ class _Saturation:
     there, and OR_INTRO's are disjunctions); AND_ELIM opens only those and
     counts the rest in bulk (see `Stats`). AND_INTRO and OR_INTRO, the
     joins that derive nearly all of a wide run, intern in place: each
-    looks its conclusions up in the store's table for its kind, and
-    records a node new to the store at once. LBI_RULE and CASE_SPLIT match
+    fetches the store's row for a left operand once, looks each right
+    operand up in it, and records a node new to the store at once. Neither
+    opens a row it does not fill. LBI_RULE and CASE_SPLIT match
     with `_lbi_shapes` and `_case_splits`, which `gap.lbi_accepted` uses
     too; CASE_SPLIT finds its partner premise by a lookup in the store's
     tables. `_conclusions` stays the independent definition that
@@ -729,13 +729,14 @@ class _Saturation:
         # size(i) + size(j) < max_size, in ascending order: an i before delta
         # pairs with the delta theorems within its budget, an i in delta with
         # every theorem within it. Each conjunction fits, as `offer` expects.
-        # The join interns in place, by the store's AND table: a key it
-        # misses is a node new to the store, appended by `_add` and recorded
-        # at once, as it can be neither a theorem nor a candidate; a hit
-        # takes `offer`'s dedup check.
+        # The join interns in place, in the store's AND row of the left
+        # premise, fetched (or opened) once per premise that has a partner:
+        # a partner it misses is a node new to the store, appended by `_add`
+        # and recorded at once, as it can be neither a theorem nor a
+        # candidate; a hit takes `offer`'s dedup check.
         theorems, sizes = self.theorems, self.sizes
         position, candidates = self.position, self.candidates
-        find, add = self.store._tables[AND].get, self.store._add
+        row_of, add = self.store._row, self.store._add
         start = delta.start
         in_delta = [bucket[bisect_left(bucket, start):] for bucket in self.upto]
         and_intro = _pack(RuleKind.AND_INTRO)
@@ -744,15 +745,18 @@ class _Saturation:
             left = theorems[i]
             budget = min(self.max_size - 1 - sizes[left], len(in_delta) - 1)
             partners = self.upto[budget] if i >= start else in_delta[budget]
+            if not partners:
+                continue
             self.applications += len(partners)
+            row = row_of(AND, left)
+            find = row.get
             first = and_intro | i << _FIRST
-            high, left_size = left << 32, 1 + sizes[left]
+            left_size = 1 + sizes[left]
             for j in partners:
                 right = theorems[j]
-                key = high | right
-                conclusion = find(key)
+                conclusion = find(right)
                 if conclusion is None:
-                    candidates[add(AND, key, left, right, left_size + sizes[right])] = (
+                    candidates[add(row, right, AND, left, right, left_size + sizes[right])] = (
                         first | j << _SECOND)
                 elif conclusion in position or conclusion in candidates:
                     dedup_hits += 1
@@ -772,14 +776,15 @@ class _Saturation:
         counted = (self.new_conjunctions - len(self.open_conjunctions)) * (elim_left + elim_right)
         self.applications += counted
         self.dedup_hits += counted
+        left_step, right_step = _pack(RuleKind.AND_ELIM_L), _pack(RuleKind.AND_ELIM_R)
         for i in self.open_conjunctions:
             f = self.theorems[i]
             if elim_left:
                 self.applications += 1
-                self.offer(self.lefts[f], _pack(RuleKind.AND_ELIM_L, i))
+                self.offer(self.lefts[f], left_step | i << _FIRST)
             if elim_right:
                 self.applications += 1
-                self.offer(self.rights[f], _pack(RuleKind.AND_ELIM_R, i))
+                self.offer(self.rights[f], right_step | i << _FIRST)
 
     def run_or_intro(self, delta: range) -> None:
         """Each theorem of delta is one application. Only those that fit
@@ -787,40 +792,46 @@ class _Saturation:
         sorts each generation by size, so they are a prefix of delta, found
         by bisection; the rest are counted without a loop (S9 tries 6,300
         of its 110,747 theorems). Each disjunction tried fits the budget, as
-        `offer` expects. As in run_and_intro, the join interns in place, by
-        the store's OR table: `phi | sigma`, then `sigma | phi`, each
-        recorded at once when new to the store and checked for dedup when
-        found."""
+        `offer` expects. As in run_and_intro, the join interns in place, in
+        the store's OR rows: `phi | sigma` in phi's row, fetched once per
+        premise, then `sigma | phi` in sigma's, fetched once per round for
+        each sigma that fits beside delta's smallest theorem, which is
+        tried first and so fills every row it opens. Each is recorded at
+        once when new to the store and checked for dedup when found."""
         theorems, sizes = self.theorems, self.sizes
         position, candidates = self.position, self.candidates
-        find, add = self.store._tables[OR].get, self.store._add
+        row_of, add = self.store._row, self.store._add
         self.applications += len(delta)
         smallest = self.universe_sizes[0] if self.universe_sizes else self.max_size
         fitting = bisect_right(
             theorems, self.max_size - 1 - smallest, delta.start, delta.stop, key=sizes.__getitem__
         )
+        if fitting == delta.start:
+            return
+        reach = bisect_right(self.universe_sizes, self.max_size - 1 - sizes[theorems[delta.start]])
+        members = [(sigma, sizes[sigma], row_of(OR, sigma)) for sigma in self.universe[:reach]]
         or_intro = _pack(RuleKind.OR_INTRO)
         dedup_hits = 0
         for i in range(delta.start, fitting):
             phi = theorems[i]
             budget = self.max_size - 1 - sizes[phi]
             step = or_intro | i << _FIRST
-            high, phi_size = phi << 32, 1 + sizes[phi]
-            for sigma, sigma_size in zip(self.universe, self.universe_sizes):
+            phi_size = 1 + sizes[phi]
+            phi_row = row_of(OR, phi)
+            find = phi_row.get
+            for sigma, sigma_size, sigma_row in members:
                 if sigma_size > budget:
                     break
-                key = high | sigma
-                conclusion = find(key)
+                conclusion = find(sigma)
                 if conclusion is None:
-                    candidates[add(OR, key, phi, sigma, phi_size + sigma_size)] = step
+                    candidates[add(phi_row, sigma, OR, phi, sigma, phi_size + sigma_size)] = step
                 elif conclusion in position or conclusion in candidates:
                     dedup_hits += 1
                 else:
                     candidates[conclusion] = step
-                key = sigma << 32 | phi
-                conclusion = find(key)
+                conclusion = sigma_row.get(phi)
                 if conclusion is None:
-                    candidates[add(OR, key, sigma, phi, phi_size + sigma_size)] = step
+                    candidates[add(sigma_row, phi, OR, sigma, phi, phi_size + sigma_size)] = step
                 elif conclusion in position or conclusion in candidates:
                     dedup_hits += 1
                 else:
@@ -828,16 +839,18 @@ class _Saturation:
         self.dedup_hits += dedup_hits
 
     def run_lbi(self, delta: range) -> None:
+        lbi = _pack(RuleKind.LBI_RULE)
         for i, _, conclusion in _lbi_shapes(self.theorems, self.new_implications, self.store):
             self.applications += 1
-            self.offer(conclusion, _pack(RuleKind.LBI_RULE, i))
+            self.offer(conclusion, lbi | i << _FIRST)
 
     def run_case_split(self, delta: range) -> None:
         theorems = self.theorems
         pairs = _case_splits(theorems, self.new_implications, self.position, self.store)
+        case_split = _pack(RuleKind.CASE_SPLIT)
         for i, j in sorted(set(pairs)):
             self.applications += 1
-            self.offer(self.rights[theorems[i]], _pack(RuleKind.CASE_SPLIT, i, j))
+            self.offer(self.rights[theorems[i]], case_split | i << _FIRST | j << _SECOND)
 
     def run(self) -> EnumerationResult:
         # Each enabled rule's runner, in this order; AND_ELIM's runs once for

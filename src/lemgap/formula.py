@@ -111,15 +111,20 @@ class FormulaStore:
     operand or consequent) and `_sizes`. Both child columns hold -1 where a
     node has no such child; an atom's name is kept by index. No node
     object is stored: `node` builds one on demand. Hash-consing goes
-    through one lookup table per kind, from the atom name, the child
-    index, or `left << 32 | right` over the child indices, to the node's
-    index. That key is unique while every index is below 2**32; a store of
-    2**32 nodes would need hundreds of GB, so the bound is never reached.
-    `_add` is the one place a node is appended, with its key. Every
-    interning path looks the key up first and calls `_add` only on a
-    miss: `_atom`, `_neg` and `_intern_binary` (behind the constructors,
-    the parser, LEM seeding and `apply_rule`), and saturation's AND_INTRO
-    and OR_INTRO joins, which look their keys up in place.
+    through one lookup table per kind, `_tables[kind]`. The ATOM table maps
+    an atom's name, and the NOT table a child index, to the node's index.
+    A binary kind's table has one row per left operand:
+    `_tables[kind][left][right]` is the index of `kind(left, right)`. A
+    row is opened only to hold a node at once (`_row`), so no row is ever
+    empty, and a lookup builds no key: it reads the row, then the right
+    operand in it.
+    `_add` is the one place a node is appended, into the row (or one-level
+    table) it is given, under its key. Every interning path looks the key
+    up first and calls `_add` only on a miss: `_atom`, `_neg` and
+    `_intern_binary` (behind the constructors, the parser, LEM seeding and
+    `apply_rule`), and saturation's AND_INTRO and OR_INTRO joins, which
+    fetch their rows once and look their keys up in place. `_lookup`
+    interns nothing and opens no row.
 
     Children always precede parents: a node is interned only after its
     children, so every child index is below its parent's. This invariant
@@ -156,7 +161,8 @@ class FormulaStore:
         self._sizes: list[int] = []
         self._names: dict[int, str] = {}  # atom index -> name
         self._texts: list[Optional[str]] = []  # render cache; None until rendered
-        self._tables: tuple[dict, ...] = ({}, {}, {}, {}, {})  # indexed by kind
+        # Indexed by kind; a binary kind's table maps left -> {right: index}.
+        self._tables: tuple[dict, ...] = ({}, {}, {}, {}, {})
 
     def __len__(self) -> int:
         return len(self._kinds)
@@ -187,10 +193,10 @@ class FormulaStore:
         pairs = zip(indices, itertools.repeat(self._tag))
         return list(map(tuple.__new__, itertools.repeat(FormulaId), pairs))
 
-    def _add(self, kind: int, key: object, left: int, right: int, node_size: int) -> int:
-        """Append a node that its kind's table does not hold under `key`,
-        and return its index."""
-        i = self._tables[kind][key] = len(self._kinds)
+    def _add(self, row: dict, key: object, kind: int, left: int, right: int, node_size: int) -> int:
+        """Append a node that `row`, its kind's table or one of its rows,
+        does not hold under `key`, and return its index."""
+        i = row[key] = len(self._kinds)
         self._kinds.append(kind)
         self._lefts.append(left)
         self._rights.append(right)
@@ -201,7 +207,7 @@ class FormulaStore:
         """Intern the atom `name`, which must be a valid atom name."""
         found = self._tables[ATOM].get(name)
         if found is None:
-            found = self._add(ATOM, name, -1, -1, 1)
+            found = self._add(self._tables[ATOM], name, ATOM, -1, -1, 1)
             self._names[found] = name
         return found
 
@@ -209,20 +215,33 @@ class FormulaStore:
         found = self._tables[NOT].get(child)
         if found is not None:
             return found
-        return self._add(NOT, child, child, -1, 1 + self._sizes[child])
+        return self._add(self._tables[NOT], child, NOT, child, -1, 1 + self._sizes[child])
+
+    def _row(self, kind: int, left: int) -> dict[int, int]:
+        """The row of `left` in the binary `kind`'s table, opened if it has
+        none. A row is opened only to take a node at once: none stays empty."""
+        table = self._tables[kind]
+        row = table.get(left)
+        if row is None:
+            row = table[left] = {}
+        return row
 
     def _intern_binary(self, kind: int, left: int, right: int) -> int:
         """Intern `kind(left, right)` over indices, without checking them."""
-        key = left << 32 | right
-        found = self._tables[kind].get(key)
+        row = self._row(kind, left)
+        found = row.get(right)
         if found is not None:
             return found
-        return self._add(kind, key, left, right, 1 + self._sizes[left] + self._sizes[right])
+        return self._add(row, right, kind, left, right, 1 + self._sizes[left] + self._sizes[right])
 
     def _lookup(self, kind: int, left: int, right: int = -1) -> Optional[int]:
         """Index of the negation of `left`, or of `kind(left, right)` for a
-        binary kind; None when it was never interned. Interns nothing."""
-        return self._tables[kind].get(left if kind == NOT else left << 32 | right)
+        binary kind; None when it was never interned. Interns nothing and
+        opens no row."""
+        if kind == NOT:
+            return self._tables[NOT].get(left)
+        row = self._tables[kind].get(left)
+        return None if row is None else row.get(right)
 
     def _intern(self, kind: int, left: int, right: int = -1) -> int:
         """`_lookup` that interns: the index of the negation of `left`, or

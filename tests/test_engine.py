@@ -482,11 +482,16 @@ def test_saturate_matches_naive_closure_with_split_rules():
 
 def assert_hash_consed(store):
     """Each kind's table maps exactly the nodes of that kind back to
-    themselves, no two nodes share their kind and children, children
-    precede parents and every size is its children's plus one."""
+    themselves, a binary kind's by left operand, then right, in rows none
+    of which is empty; no two nodes share their kind and children,
+    children precede parents and every size is its children's plus one."""
     kinds, lefts, rights, sizes = store._kinds, store._lefts, store._rights, store._sizes
     for kind, table in enumerate(store._tables):
-        assert sorted(table.values()) == [i for i, k in enumerate(kinds) if k == kind]
+        held = list(table.values())
+        if kind not in (formula.ATOM, formula.NOT):
+            assert all(len(row) for row in held), "an empty row"
+            held = [i for row in held for i in row.values()]
+        assert sorted(held) == [i for i, k in enumerate(kinds) if k == kind]
     shapes = [shape for shape in zip(kinds, lefts, rights) if shape[0] != formula.ATOM]
     assert len(set(shapes)) == len(shapes)
     for i, (kind, left, right) in enumerate(zip(kinds, lefts, rights)):
@@ -494,7 +499,7 @@ def assert_hash_consed(store):
             assert store._tables[kind][left] == i and left < i
             assert sizes[i] == 1 + sizes[left]
         elif kind != formula.ATOM:
-            assert store._tables[kind][left << 32 | right] == i and max(left, right) < i
+            assert store._tables[kind][left][right] == i and max(left, right) < i
             assert sizes[i] == 1 + sizes[left] + sizes[right]
 
 

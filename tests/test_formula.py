@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from lemgap import formula
 from lemgap.engine import AxiomaticSystem, RuleKind, apply_rule
 from lemgap.formula import (
     And,
@@ -275,6 +276,45 @@ def test_interning_soundness_property(shape_a, shape_b):
     a = intern_shape(shape_a, store)
     b = intern_shape(shape_b, store)
     assert (a == b) == (shape_a == shape_b)
+
+
+def _table_state(store):
+    """A deep copy of the store's tables, and how many nodes and rows it holds."""
+    tables = [{key: dict(row) if type(row) is dict else row for key, row in table.items()}
+              for table in store._tables]
+    return tables, len(store), sum(map(len, store._tables[formula.AND:]))
+
+
+def test_lookup_opens_no_row():
+    store = FormulaStore()
+    p, q, r, conj = (parse(text, store).index for text in ("p", "q", "r", "p & q"))
+    before = _table_state(store)
+    assert store._lookup(formula.AND, q, p) is None  # q has no AND row
+    assert store._lookup(formula.AND, p, r) is None  # p's row lacks r
+    assert store._lookup(formula.OR, p, q) is None  # no OR row at all
+    assert store._lookup(formula.NOT, p) is None
+    assert store._lookup(formula.AND, p, q) == conj
+    assert _table_state(store) == before
+    assert store._tables[formula.AND] == {p: {q: conj}}
+
+
+def test_intern_binary_adds_to_the_left_operands_row():
+    store = FormulaStore()
+    p, q, r = (store._atom(name) for name in "pqr")
+    conj = store._intern_binary(formula.AND, p, q)
+    row = store._tables[formula.AND][p]
+    assert row == {q: conj}
+    # A new node whose left operand has a row joins that row, and opens none.
+    other = store._intern_binary(formula.AND, p, r)
+    assert other == len(store) - 1 and other != conj
+    assert store._tables[formula.AND][p] is row and row == {q: conj, r: other}
+    assert len(store._tables[formula.AND]) == 1
+    # A node already held is found in its row, and nothing is added.
+    assert store._intern_binary(formula.AND, p, r) == other and len(store) == other + 1
+    # A left operand without a row opens one, holding the new node.
+    mirror = store._intern_binary(formula.AND, r, p)
+    assert store._tables[formula.AND] == {p: {q: conj, r: other}, r: {p: mirror}}
+    assert store._tables[formula.OR] == {} and store._tables[formula.IMPLIES] == {}
 
 
 def test_cross_store_id_rejected():
